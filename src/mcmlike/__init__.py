@@ -27,18 +27,18 @@ from .dynamics import (
     NonConvergence,
     OrbitRecord,
     PoleHit,
-    PolyQuotient,
     ProductPole,
     RationalMapExpr,
     SimplePoles,
     Undecided,
-    as_quotient,
     auto_radius,
     eval_map,
     eval_map_derivative,
+    eval_unchecked,
     find_roots,
     iterate_orbit,
-    pole_locations,
+    newton_cycle,
+    pole_orders,
     product_pole_map,
     simple_poles_map,
 )

@@ -350,8 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("skew", help="symbolic census of the model skew product")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--d", type=int, default=2)
+    p.add_argument("--n", type=int, default=2, help="printed label only; no count depends on it")
+    p.add_argument("--d", type=int, default=2, help="printed label only; no count depends on it")
     p.add_argument("--depth", type=int, default=12)
     p.add_argument("--horizon", type=int, default=None)
     p.set_defaults(func=cmd_skew)

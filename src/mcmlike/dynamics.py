@@ -4,8 +4,9 @@ Maps come in two flavours: plain polynomials (ascending coefficient lists)
 and rational perturbations P(z) + poles, where the pole part is either a sum
 of simple terms lambda_k/(z-a_k)^{d_k} or a single product term
 lambda / prod (z-a_k)^{d_k}.  Everything downstream (classification,
-verification, rendering) is built on the three primitives in this module:
-``find_roots``, ``eval_map`` and ``iterate_orbit``.
+verification, rendering) is built on the primitives in this module:
+``find_roots``, ``eval_map`` (``eval_unchecked`` on arrays), ``newton_cycle``
+and ``iterate_orbit``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 EPS = 2.220446049250313e-16
 
@@ -72,9 +73,10 @@ class ComplexPoly:
             p = p * cls((-complex(r), 1.0))
         return p
 
-    def eval(self, z: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.coeffs):
+    def eval(self, z):
+        """Horner from the leading coefficient; z may be a complex ndarray."""
+        acc = self.coeffs[-1]
+        for c in reversed(self.coeffs[:-1]):
             acc = acc * z + c
         return acc
 
@@ -147,14 +149,6 @@ class RationalMapExpr:
 MapLike = Union[ComplexPoly, RationalMapExpr]
 
 
-@dataclass
-class PolyQuotient:
-    """A numerator/denominator pair over a common denominator."""
-
-    numerator: ComplexPoly
-    denominator: ComplexPoly
-
-
 def simple_poles_map(base: ComplexPoly, terms: Sequence[Tuple[complex, int, complex]]) -> RationalMapExpr:
     return RationalMapExpr(base, SimplePoles(tuple(PoleTerm(complex(a), int(d), complex(lam)) for a, d, lam in terms)))
 
@@ -163,106 +157,116 @@ def product_pole_map(base: ComplexPoly, lam: complex, factors: Sequence[Tuple[co
     return RationalMapExpr(base, ProductPole(complex(lam), tuple((complex(a), int(d)) for a, d in factors)))
 
 
-def pole_locations(f: MapLike) -> Tuple[complex, ...]:
+def pole_orders(f: MapLike) -> List[Tuple[complex, int]]:
+    """(location, order) of every pole, in the order the map lists them."""
     if isinstance(f, ComplexPoly):
-        return ()
+        return []
     if isinstance(f.poles, SimplePoles):
-        return tuple(t.location for t in f.poles.terms)
-    return tuple(a for a, _ in f.poles.factors)
+        return [(t.location, t.order) for t in f.poles.terms]
+    return list(f.poles.factors)
 
 
-def _ipow(z: complex, d: int) -> complex:
-    acc = 1 + 0j
-    for _ in range(d):
-        acc *= z
-    return acc
+def _check_poles(f: MapLike, z: complex) -> None:
+    for k, (a, _) in enumerate(pole_orders(f)):
+        if abs(z - a) <= POLE_COLLISION_RTOL * (1.0 + abs(a)):
+            raise PoleHit(k, a, z)
 
 
-def eval_map(f: MapLike, z: complex) -> complex:
-    """Evaluate a map at a point; raises PoleHit on pole collision."""
+def eval_unchecked(f: MapLike, z):
+    """f(z) for a Python complex or a complex ndarray, without a pole check.
+
+    Horner runs from the leading coefficient and every pole power is built
+    one factor (z - a) at a time, so the scalar and the array results
+    differ only in how Python and numpy round complex products and
+    quotients.
+    """
     if isinstance(f, ComplexPoly):
         return f.eval(z)
     val = f.base.eval(z)
     if isinstance(f.poles, SimplePoles):
-        for k, t in enumerate(f.poles.terms):
+        for t in f.poles.terms:
             w = z - t.location
-            if abs(w) <= POLE_COLLISION_RTOL * (1.0 + abs(t.location)):
-                raise PoleHit(k, t.location, z)
-            val += t.coefficient / _ipow(w, t.order)
+            pw = 1
+            for _ in range(t.order):
+                pw = pw * w
+            val = val + t.coefficient / pw
         return val
-    den = 1 + 0j
-    for k, (a, d) in enumerate(f.poles.factors):
+    den = 1
+    for a, d in f.poles.factors:
         w = z - a
-        if abs(w) <= POLE_COLLISION_RTOL * (1.0 + abs(a)):
-            raise PoleHit(k, a, z)
-        den *= _ipow(w, d)
+        for _ in range(d):
+            den = den * w
     return val + f.poles.coefficient / den
 
 
-def derivative(f: MapLike):
-    """Symbolic derivative.
-
-    Polynomials map to polynomials; a simple-pole expression maps to another
-    simple-pole expression (orders shifted up by one); a product-pole
-    expression is returned as a PolyQuotient over the squared denominator.
-    """
-    if isinstance(f, ComplexPoly):
-        return f.derivative()
-    if isinstance(f.poles, SimplePoles):
-        terms = tuple(
-            PoleTerm(t.location, t.order + 1, -t.order * t.coefficient) for t in f.poles.terms
-        )
-        return RationalMapExpr(f.base.derivative(), SimplePoles(terms))
-    den = ComplexPoly((1.0,))
-    for a, d in f.poles.factors:
-        den = den * ComplexPoly.from_roots([a] * d)
-    num = f.base.derivative() * den * den - f.poles.coefficient * den.derivative()
-    return PolyQuotient(num, den * den)
+def eval_map(f: MapLike, z: complex) -> complex:
+    """Evaluate a map at a point; raises PoleHit on pole collision."""
+    _check_poles(f, z)
+    return eval_unchecked(f, z)
 
 
 def eval_map_derivative(f: MapLike, z: complex) -> complex:
     """Evaluate f'(z) pointwise without building product polynomials."""
+    _check_poles(f, z)
     if isinstance(f, ComplexPoly):
         return f.derivative().eval(z)
     val = f.base.derivative().eval(z)
     if isinstance(f.poles, SimplePoles):
-        for k, t in enumerate(f.poles.terms):
+        for t in f.poles.terms:
             w = z - t.location
-            if abs(w) <= POLE_COLLISION_RTOL * (1.0 + abs(t.location)):
-                raise PoleHit(k, t.location, z)
-            val -= t.order * t.coefficient / _ipow(w, t.order + 1)
+            pw = 1
+            for _ in range(t.order + 1):
+                pw = pw * w
+            val = val - t.order * t.coefficient / pw
         return val
-    den = 1 + 0j
+    den = 1
     logd = 0j
-    for k, (a, d) in enumerate(f.poles.factors):
+    for a, d in f.poles.factors:
         w = z - a
-        if abs(w) <= POLE_COLLISION_RTOL * (1.0 + abs(a)):
-            raise PoleHit(k, a, z)
-        den *= _ipow(w, d)
+        for _ in range(d):
+            den = den * w
         logd += d / w
     return val - f.poles.coefficient * logd / den
 
 
-def as_quotient(f: MapLike) -> PolyQuotient:
-    """Rewrite a map as numerator/denominator over the common denominator."""
-    if isinstance(f, ComplexPoly):
-        return PolyQuotient(f, ComplexPoly((1.0,)))
-    if isinstance(f.poles, SimplePoles):
-        den = ComplexPoly((1.0,))
-        for t in f.poles.terms:
-            den = den * ComplexPoly.from_roots([t.location] * t.order)
-        num = f.base * den
-        for k, t in enumerate(f.poles.terms):
-            rest = ComplexPoly((t.coefficient,))
-            for j, u in enumerate(f.poles.terms):
-                if j != k:
-                    rest = rest * ComplexPoly.from_roots([u.location] * u.order)
-            num = num + rest
-        return PolyQuotient(num, den)
-    den = ComplexPoly((1.0,))
-    for a, d in f.poles.factors:
-        den = den * ComplexPoly.from_roots([a] * d)
-    return PolyQuotient(f.base * den + ComplexPoly((f.poles.coefficient,)), den)
+def _cycle_derivative(f: MapLike, z: complex, period: int) -> Tuple[complex, complex]:
+    """(f^period(z), (f^period)'(z)); raises PoleHit on pole collision."""
+    w, deriv = z, 1 + 0j
+    for _ in range(period):
+        deriv *= eval_map_derivative(f, w)
+        w = eval_map(f, w)
+    return w, deriv
+
+
+def newton_cycle(
+    f: MapLike, z0: complex, period: int, tol: float
+) -> Tuple[Optional[complex], bool, Optional[complex]]:
+    """Newton's method on f^period(z) - z from z0, at most 80 steps.
+
+    Returns (point, converged, multiplier).  It has converged once a step
+    is at most tol * (1 + |z|); the multiplier (f^period)'(point) is given
+    only then.  Without convergence the point is the last iterate, or None
+    when an iterate of f hit a pole or left the finite plane.
+    """
+    z = z0
+    for _ in range(80):
+        try:
+            w, deriv = _cycle_derivative(f, z, period)
+        except PoleHit:
+            return None, False, None
+        if not (math.isfinite(w.real) and math.isfinite(w.imag)):
+            return None, False, None
+        denom = deriv - 1.0
+        if abs(denom) < 1e-14:
+            break
+        step = (w - z) / denom
+        z = z - step
+        if abs(step) <= tol * (1.0 + abs(z)):
+            try:
+                return z, True, _cycle_derivative(f, z, period)[1]
+            except PoleHit:
+                return z, False, None
+    return z, False, None
 
 
 def auto_radius(f: MapLike) -> float:
@@ -285,6 +289,17 @@ def auto_radius(f: MapLike) -> float:
     lead = abs(cs[-1])
     cauchy = 1.0 + (1.0 + (total - lead) + lam_sum) / lead if lead > 0 else 2.0
     return max(2.0, 1.0 + total + lam_sum, cauchy)
+
+
+def checked_escape_radius(f: MapLike, escape_radius: Optional[float]) -> float:
+    """The given escape radius, or auto_radius(f) for None.  A radius below
+    auto_radius(f) raises ValueError: orbits may come back from beyond it."""
+    rauto = auto_radius(f)
+    if escape_radius is None:
+        return rauto
+    if escape_radius < rauto:
+        raise ValueError(f"escape_radius {escape_radius} below auto radius {rauto}")
+    return escape_radius
 
 
 # ---------------------------------------------------------------------------
@@ -531,13 +546,8 @@ def iterate_orbit(
     A PoleHit mid-orbit counts as an escape whose passage point is the
     colliding iterate.
     """
-    rauto = auto_radius(f)
-    if escape_radius is None:
-        escape_radius = rauto
-    elif escape_radius < rauto:
-        raise ValueError(f"escape_radius {escape_radius} below auto radius {rauto}")
-
-    poles = pole_locations(f)
+    escape_radius = checked_escape_radius(f, escape_radius)
+    poles = [a for a, _ in pole_orders(f)]
     rec = OrbitRecord(start=z0, samples=[z0])
 
     def approach(z):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .arith import PoleData
@@ -25,6 +25,7 @@ from .dynamics import (
     auto_radius,
     find_roots,
     iterate_orbit,
+    newton_cycle,
 )
 
 
@@ -111,23 +112,6 @@ def _orbit_points(p: ComplexPoly, z: complex, period: int) -> List[complex]:
     return pts
 
 
-def _refine_cycle(p: ComplexPoly, dp: ComplexPoly, z: complex, period: int) -> complex:
-    """Newton on P^period(z) - z; well conditioned near super-attracting cycles."""
-    for _ in range(60):
-        w, deriv = z, 1 + 0j
-        for _ in range(period):
-            deriv *= dp.eval(w)
-            w = p.eval(w)
-        denom = deriv - 1.0
-        if abs(denom) < 1e-12:
-            break
-        step = (w - z) / denom
-        z = z - step
-        if abs(step) <= 1e-13 * (1.0 + abs(z)):
-            break
-    return z
-
-
 def _reduce_period(p: ComplexPoly, z: complex, period: int) -> int:
     for q in range(1, period):
         if period % q == 0:
@@ -178,10 +162,11 @@ def classify_polynomial(
             records.append((c, mult, orbit, None))
             continue
         out: ConvergedToCycle = orbit.outcome
-        z = _refine_cycle(p, dp, out.representative, out.period)
+        # Newton is well conditioned near super-attracting cycles.
+        z = newton_cycle(p, out.representative, out.period, 1e-13)[0]
         period = _reduce_period(p, z, out.period)
         if period != out.period:
-            z = _refine_cycle(p, dp, z, period)
+            z = newton_cycle(p, z, period, 1e-13)[0]
         pts = _orbit_points(p, z, period)
         lam = 1 + 0j
         for x in pts:

@@ -68,11 +68,6 @@ class FamilySpec:
     coefficient: Optional[complex] = None  # product_pole lambda
     factors: Tuple[Tuple[complex, int], ...] = ()
 
-    def pole_entries(self) -> List[Tuple[complex, int]]:
-        if self.kind == "simple_poles":
-            return [(a, d) for a, d, _ in self.poles]
-        return list(self.factors)
-
     def build(self, base: ComplexPoly, lambda_override: Optional[complex] = None) -> RationalMapExpr:
         if self.kind == "simple_poles":
             terms = [

@@ -17,18 +17,12 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dynamics import (
-    ComplexPoly,
-    MapLike,
-    ProductPole,
-    SimplePoles,
-    auto_radius,
-)
+from .dynamics import MapLike, auto_radius, eval_unchecked
 
 KIND_UNDECIDED = 0
 KIND_ESCAPED = 1
@@ -112,42 +106,6 @@ class RadialProfile:
         return out
 
 
-def _eval_vec(f: MapLike, z: np.ndarray) -> np.ndarray:
-    """Vectorized map evaluation mirroring eval_map's operation order."""
-    if isinstance(f, ComplexPoly):
-        coeffs = f.coeffs
-    else:
-        coeffs = f.base.coeffs
-    acc = np.full_like(z, coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        acc = acc * z + c
-    if isinstance(f, ComplexPoly):
-        return acc
-    if isinstance(f.poles, SimplePoles):
-        for t in f.poles.terms:
-            w = z - t.location
-            pw = np.ones_like(z)
-            for _ in range(t.order):
-                pw = pw * w
-            acc = acc + t.coefficient / pw
-        return acc
-    den = np.ones_like(z)
-    for a, d in f.poles.factors:
-        w = z - a
-        for _ in range(d):
-            den = den * w
-    return acc + f.poles.coefficient / den
-
-
-def _attractor_points(spec: RenderSpec):
-    pts = []
-    if spec.attractors:
-        for aid, (points, period) in enumerate(spec.attractors):
-            for ph, p in enumerate(points):
-                pts.append((aid, ph, complex(p)))
-    return pts
-
-
 def classify_points(
     f: MapLike,
     pts: np.ndarray,
@@ -185,7 +143,7 @@ def classify_points(
             idx = np.nonzero(active)[0]
             if idx.size == 0:
                 break
-            w = _eval_vec(f, z[idx])
+            w = eval_unchecked(f, z[idx])
             finite = np.isfinite(w.real) & np.isfinite(w.imag)
             esc = ~finite | (np.abs(np.where(finite, w, 0)) > radius)
             esc_idx = idx[esc]

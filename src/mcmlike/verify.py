@@ -12,29 +12,23 @@ exists, only falsify it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from .arith import ConditionReport, PoleData, check_condition
 from .dynamics import (
     ComplexPoly,
-    ConvergedToCycle,
     Escaped,
     MapLike,
+    NonConvergence,
     OrbitRecord,
-    PoleHit,
-    ProductPole,
-    RationalMapExpr,
     SimplePoles,
     Undecided,
-    as_quotient,
-    auto_radius,
-    eval_map,
-    eval_map_derivative,
+    checked_escape_radius,
     find_roots,
     iterate_orbit,
-    pole_locations,
+    newton_cycle,
+    pole_orders,
 )
 from .model import HpcfpModel
 
@@ -157,16 +151,11 @@ class VerificationVerdict:
 
 
 def map_degree(f: MapLike) -> int:
-    """Degree of the map as the degree of its common-denominator numerator."""
-    return as_quotient(f).numerator.degree
-
-
-def _pole_orders(f: MapLike) -> List[Tuple[complex, int]]:
-    if isinstance(f, ComplexPoly):
-        return []
-    if isinstance(f.poles, SimplePoles):
-        return [(t.location, t.order) for t in f.poles.terms]
-    return [(a, d) for a, d in f.poles.factors]
+    """Degree of the map: base degree plus the total pole order.  This is
+    the degree of the common-denominator numerator whenever the base
+    degree is at least 1."""
+    base = f if isinstance(f, ComplexPoly) else f.base
+    return base.degree + sum(d for _, d in pole_orders(f))
 
 
 def free_critical_polynomial(f: MapLike) -> ComplexPoly:
@@ -206,7 +195,7 @@ def critical_census(f: MapLike) -> CriticalCensus:
     deg = map_degree(f)
     n = f.degree if isinstance(f, ComplexPoly) else f.base.degree
     free = find_roots(free_critical_polynomial(f))
-    pole_side = [(a, d - 1) for a, d in _pole_orders(f)]
+    pole_side = [(a, d - 1) for a, d in pole_orders(f)]
     census = CriticalCensus(
         free_criticals=free,
         pole_criticals=pole_side,
@@ -224,7 +213,7 @@ def _match_poles_to_domains(
     f: MapLike, model: HpcfpModel, match_tol: float
 ) -> Tuple[Optional[Tuple[int, int]], ...]:
     out = []
-    for a in pole_locations(f):
+    for a, _ in pole_orders(f):
         best = None
         for cyc in model.cycles:
             for j, x in enumerate(cyc.points):
@@ -242,9 +231,10 @@ def classify_critical_orbits(
     f: MapLike,
     model: HpcfpModel,
     pole_data: PoleData,
+    census: CriticalCensus,
     params: Optional[VerifyParams] = None,
 ) -> CriticalOrbitReport:
-    """Iterate every free critical orbit and classify it.
+    """Iterate every free critical orbit of ``census`` and classify it.
 
     Escaped orbits whose closest pole approach lies within pole_ball of a
     pole sitting in a pole-data domain classify as EscapesViaTrapDoor;
@@ -252,13 +242,12 @@ def classify_critical_orbits(
     families).  Bounded orbits must converge near an untouched model cycle.
     """
     params = params or VerifyParams()
-    poles = pole_locations(f)
+    poles = [a for a, _ in pole_orders(f)]
     pole_domains = _match_poles_to_domains(f, model, params.match_tol)
     picked = {key for key, _ in pole_data.entries}
     touched_cycles = {i for (i, _), _ in pole_data.entries}
-    radius = params.escape_radius if params.escape_radius is not None else auto_radius(f)
+    radius = checked_escape_radius(f, params.escape_radius)
 
-    census = critical_census(f)
     entries = []
     notes: List[str] = []
     door_poles = [
@@ -329,38 +318,6 @@ def classify_critical_orbits(
     return CriticalOrbitReport(entries=entries, pole_domains=pole_domains, notes=notes)
 
 
-def _newton_persist(
-    f: MapLike, z0: complex, period: int, tol: float
-) -> Tuple[Optional[complex], Optional[float], bool]:
-    z = z0
-    for _ in range(80):
-        w, deriv = z, 1 + 0j
-        try:
-            for _ in range(period):
-                deriv *= eval_map_derivative(f, w)
-                w = eval_map(f, w)
-        except PoleHit:
-            return None, None, False
-        if not (math.isfinite(w.real) and math.isfinite(w.imag)):
-            return None, None, False
-        denom = deriv - 1.0
-        if abs(denom) < 1e-14:
-            break
-        step = (w - z) / denom
-        z = z - step
-        if abs(step) <= tol * (1.0 + abs(z)):
-            mult = 1 + 0j
-            x = z
-            try:
-                for _ in range(period):
-                    mult *= eval_map_derivative(f, x)
-                    x = eval_map(f, x)
-            except PoleHit:
-                return z, None, False
-            return z, abs(mult), True
-    return z, None, False
-
-
 def verify_family(
     f: MapLike,
     expected_model: HpcfpModel,
@@ -373,6 +330,7 @@ def verify_family(
         raise ValueError(
             "expected_model needs concrete cycle points; classify the base polynomial first"
         )
+    checked_escape_radius(f, params.escape_radius)  # also when no orbit gets iterated
     details: List[str] = []
 
     condition_report = check_condition(expected_model, expected_pole_data)
@@ -386,23 +344,18 @@ def verify_family(
         details.append(f"degree: map degree {deg} != n + sum d = {n + d_total}")
 
     census = None
-    census_ok = False
+    orbit_report = None
     try:
         census = critical_census(f)
-        census_ok = census.nu == 2 * census.map_degree - 2
-    except CensusMismatch as exc:
-        details.append(f"census: {exc}")
-    except Exception as exc:  # root finding failures surface as diagnostics
-        details.append(f"census: {type(exc).__name__}: {exc}")
-
-    orbit_report = None
-    critical_orbits_ok = False
-    try:
-        orbit_report = classify_critical_orbits(f, expected_model, expected_pole_data, params)
-        critical_orbits_ok = orbit_report.all_consistent
+    except (CensusMismatch, NonConvergence) as exc:
+        reason = f"{type(exc).__name__}: {exc}"
+        details.append(f"census: {exc}" if isinstance(exc, CensusMismatch) else f"census: {reason}")
+        details.append(f"orbits: {reason}")
+    else:
+        orbit_report = classify_critical_orbits(
+            f, expected_model, expected_pole_data, census, params
+        )
         details.extend("orbits: " + s for s in orbit_report.notes)
-    except Exception as exc:
-        details.append(f"orbits: {type(exc).__name__}: {exc}")
 
     touched = {i for (i, _), _ in expected_pole_data.entries}
     untouched_checks = []
@@ -410,13 +363,10 @@ def verify_family(
         if cyc.index in touched:
             continue
         start = cyc.points[0]
-        found, mult, converged = _newton_persist(f, start, cyc.period, params.newton_tol)
+        found, converged, mult = newton_cycle(f, start, cyc.period, params.newton_tol)
+        mult = abs(mult) if converged else None
         persisted = (
-            converged
-            and found is not None
-            and mult is not None
-            and mult < 1.0
-            and abs(found - start) <= 0.05 * (1.0 + abs(start))
+            converged and mult < 1.0 and abs(found - start) <= 0.05 * (1.0 + abs(start))
         )
         untouched_checks.append(
             UntouchedCycleCheck(cyc.index, cyc.period, start, found, mult, persisted)
@@ -431,8 +381,8 @@ def verify_family(
     note = "" if condition_holds else "NotExpectedToPass"
     return VerificationVerdict(
         degree_ok=degree_ok,
-        census_ok=census_ok,
-        critical_orbits_ok=critical_orbits_ok,
+        census_ok=census is not None,
+        critical_orbits_ok=orbit_report is not None and orbit_report.all_consistent,
         untouched_cycles_ok=untouched_cycles_ok,
         condition_holds=condition_holds,
         condition_report=condition_report,

@@ -172,6 +172,20 @@ def test_verify_lambda_override(run):
     assert code == 0 and "verdict: PASS" in out
 
 
+@pytest.mark.parametrize(
+    "name, lam",
+    [("q_family", None), ("h_multipole", "1.1220184543019636e-24")],  # census found / not found
+)
+def test_verify_small_escape_radius_is_operational_error(run, tmp_path, name, lam):
+    data = json.loads((FIXTURES / f"{name}.json").read_text())
+    data["params"]["escapeRadius"] = 1.5
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run("verify", str(path), *(["--lambda", lam] if lam else []))
+    assert code == 2 and out == ""
+    assert "error: escape_radius 1.5 below auto radius" in err
+
+
 def test_verify_needs_family(run):
     code, _, err = run("verify", fx("q_abstract"))
     assert code == 2 and "family" in err

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from mcmlike.dynamics import (
@@ -11,16 +12,21 @@ from mcmlike.dynamics import (
     Escaped,
     PoleHit,
     Undecided,
-    as_quotient,
     auto_radius,
     eval_map,
     eval_map_derivative,
+    eval_unchecked,
     find_roots,
     iterate_orbit,
-    pole_locations,
+    newton_cycle,
+    pole_orders,
     product_pole_map,
     simple_poles_map,
 )
+from mcmlike.model import classify_polynomial
+from mcmlike.model_io import load_model
+
+from conftest import FIXTURES
 
 Q = ComplexPoly([1, 0, -3, 2])  # 1 - 3z^2 + 2z^3
 
@@ -106,9 +112,10 @@ def test_simple_poles_eval_and_pole_hit():
     z = 3 + 1j
     want = z * z + 0.5 / (z - 1) ** 2
     assert abs(eval_map(f, z) - want) < 1e-12
-    assert pole_locations(f) == (1 + 0j,)
+    assert pole_orders(f) == [(1 + 0j, 2)]
     with pytest.raises(PoleHit):
         eval_map(f, 1 + 0j)
+    assert_array_matches_scalar(f, np.array([z, 0.5 - 2j, -1.5 + 0.25j, 1 + 1e-3j]))
 
 
 def test_product_pole_eval():
@@ -116,7 +123,17 @@ def test_product_pole_eval():
     z = 0.5 + 0.25j
     want = z * z - 1 + 1e-3 / (z**2 * (z + 1))
     assert abs(eval_map(f, z) - want) < 1e-12
-    assert pole_locations(f) == (0j, -1 + 0j)
+    assert pole_orders(f) == [(0j, 2), (-1 + 0j, 1)]
+    assert_array_matches_scalar(f, np.array([z, 0.5 - 2j, -1.5 + 0.25j, -1 + 1e-3j]))
+
+
+def assert_array_matches_scalar(f, zs):
+    # numpy and CPython round complex * and / differently: equal to rounding.
+    got = eval_unchecked(f, zs)
+    assert got.shape == zs.shape
+    for zk, gk in zip(zs, got):
+        want = eval_map(f, complex(zk))
+        assert abs(gk - want) <= 1e-12 * abs(want)
 
 
 def test_eval_map_derivative_matches_finite_difference():
@@ -132,21 +149,6 @@ def test_eval_map_derivative_matches_finite_difference():
             h = 1e-6
             fd = (eval_map(f, z + h) - eval_map(f, z - h)) / (2 * h)
             assert abs(eval_map_derivative(f, z) - fd) <= 1e-5 * (1 + abs(fd))
-
-
-def test_as_quotient_agrees_with_eval():
-    rng = random.Random(13)
-    maps = [
-        simple_poles_map(Q, [(0j, 1, 1e-2 + 0j), (2 + 0j, 2, -0.3 + 0.1j)]),
-        product_pole_map(ComplexPoly([-1, 0, 1]), 1e-3 + 0j, [(0j, 3), (-1 + 0j, 2)]),
-    ]
-    for f in maps:
-        quot = as_quotient(f)
-        for _ in range(10):
-            z = complex(rng.uniform(0.2, 2.0), rng.uniform(0.2, 2.0))
-            want = eval_map(f, z)
-            got = quot.numerator.eval(z) / quot.denominator.eval(z)
-            assert abs(got - want) <= 1e-9 * (1 + abs(want))
 
 
 def test_auto_radius_is_an_escape_radius():
@@ -224,3 +226,27 @@ def test_iterate_orbit_undecided_on_parabolic():
 def test_iterate_orbit_rejects_small_escape_radius():
     with pytest.raises(ValueError):
         iterate_orbit(ComplexPoly([0, 0, 1]), 0.5 + 0j, escape_radius=1.0)
+
+
+def test_newton_cycle_basilica_two_cycle():
+    z, converged, mult = newton_cycle(ComplexPoly([-1, 0, 1]), 0.01 + 0j, 2, 1e-13)
+    assert converged
+    assert abs(z) < 1e-12  # the cycle is {0, -1}
+    assert abs(mult) < 1e-12  # super-attracting: f'(0) = 0
+
+
+def test_newton_cycle_untouched_cycle_persists():
+    mf = load_model(FIXTURES / "r_milnor.json")
+    model = classify_polynomial(mf.polynomial)
+    start = model.cycles[1].points[0]  # the untouched fixed point sqrt(2) i
+    z, converged, mult = newton_cycle(mf.build_map(), start, 1, 1e-10)
+    assert converged
+    assert abs(z - math.sqrt(2) * 1j) <= 1e-6
+    assert 0 < abs(mult) < 1e-3
+
+
+def test_newton_cycle_orbit_hitting_a_pole_does_not_converge():
+    # f(z) = z^2 - 1/(z - 1) sends 0 exactly onto its pole at 1.
+    f = simple_poles_map(ComplexPoly([0, 0, 1]), [(1 + 0j, 1, -1 + 0j)])
+    assert eval_map(f, 0j) == 1
+    assert newton_cycle(f, 0j, 2, 1e-10) == (None, False, None)

@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+import mcmlike.verify
 from mcmlike.arith import PoleData
-from mcmlike.dynamics import ComplexPoly, eval_map_derivative
+from mcmlike.dynamics import ComplexPoly, NonConvergence, eval_map_derivative
 from mcmlike.model import classify_polynomial, from_abstract
 from mcmlike.model_io import load_model
 from mcmlike.verify import (
@@ -169,3 +170,45 @@ def test_free_critical_polynomial_identity(name):
         lhs = numer.eval(z)
         rhs = eval_map_derivative(f, z) * full
         assert abs(lhs - rhs) <= 1e-7 * (1.0 + abs(rhs))
+
+
+def test_verify_computes_the_census_once(monkeypatch):
+    f, model, pd, params = load_family("h_multipole")
+    calls = []
+    real = mcmlike.verify.find_roots
+
+    def counting(poly, *args, **kwargs):
+        calls.append(poly.degree)
+        return real(poly, *args, **kwargs)
+
+    monkeypatch.setattr(mcmlike.verify, "find_roots", counting)
+    verdict = verify_family(f, model, pd, params)
+    assert verdict.passed
+    assert calls == [15]
+
+
+def test_unavailable_census_fails_both_checks(monkeypatch):
+    f, model, pd, params = load_family("q_family")
+
+    def no_roots(poly, *args, **kwargs):
+        raise NonConvergence("root residual too large")
+
+    monkeypatch.setattr(mcmlike.verify, "find_roots", no_roots)
+    verdict = verify_family(f, model, pd, params)
+    assert verdict.census is None and verdict.orbit_report is None
+    assert not verdict.census_ok and not verdict.critical_orbits_ok
+    assert verdict.details == [
+        "census: NonConvergence: root residual too large",
+        "orbits: NonConvergence: root residual too large",
+    ]
+
+
+def test_programming_error_in_census_propagates(monkeypatch):
+    f, model, pd, params = load_family("q_family")
+
+    def broken(poly, *args, **kwargs):
+        raise TypeError("broken root finder")
+
+    monkeypatch.setattr(mcmlike.verify, "find_roots", broken)
+    with pytest.raises(TypeError, match="broken root finder"):
+        verify_family(f, model, pd, params)
