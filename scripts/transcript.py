@@ -1,0 +1,124 @@
+"""Print a transcript of the mcmlike CLI over the fixtures, one line per run.
+
+Each line holds the argument list, the exit code, the sha256 of stdout and
+the sha256 of every PPM or text file the run wrote.  Two checkouts that
+behave the same print the same transcript, so a byte-identity check is
+
+    python3 scripts/transcript.py > new.txt
+    python3 scripts/transcript.py --root /path/to/other/checkout > old.txt
+    diff old.txt new.txt
+
+The rows: check/eig/classify/plan on every fixture; verify on every family
+at its own lambda and at the 61 factors 10**(-2 + 3j/60) of it; typecmp on
+every ordered pair of polynomial fixtures; skew at depths 5 and 12; and
+render --text --diagnostics at 128x128 on every polynomial fixture.  Runs
+happen in process, in a scratch directory holding a copy of the fixtures,
+so paths in the output do not depend on the checkout.  Standard library
+only (the checkout's own mcmlike needs numpy).
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import shutil
+import sys
+import tempfile
+
+VERIFY_STEPS = 60
+OUTPUTS = ("out.ppm", "out.txt")
+
+
+def fixture_lambda(path):
+    """The family coefficient of a fixture (first pole for simple poles)."""
+    with open(path, encoding="utf-8") as fh:
+        fam = json.load(fh)["family"]
+    pair = fam["lambda"] if fam["kind"] == "product_pole" else fam["poles"][0]["lambda"]
+    return complex(pair[0], pair[1])
+
+
+def rows(fixtures):
+    """Every argument list of the transcript, in a fixed order."""
+    names = sorted(n[: -len(".json")] for n in os.listdir(fixtures) if n.endswith(".json"))
+    data = {}
+    for n in names:
+        with open(os.path.join(fixtures, f"{n}.json"), encoding="utf-8") as fh:
+            data[n] = json.load(fh)
+    families = [n for n in names if "family" in data[n]]
+    polys = [n for n in names if "polynomial" in data[n]]
+
+    def fx(n):
+        return f"fixtures/{n}.json"
+
+    for cmd in ("check", "eig", "classify", "plan"):
+        for n in names:
+            yield [cmd, fx(n)]
+    for n in families:
+        yield ["verify", fx(n)]
+        lam = fixture_lambda(os.path.join(fixtures, f"{n}.json"))
+        for j in range(VERIFY_STEPS + 1):
+            yield ["verify", fx(n), "--lambda", repr(lam * 10.0 ** (-2.0 + 3.0 * j / VERIFY_STEPS))]
+    for a in polys:
+        for b in polys:
+            yield ["typecmp", fx(a), fx(b)]
+    for depth in ("5", "12"):
+        yield ["skew", "--depth", depth]
+    for n in polys:
+        yield [
+            "render", fx(n), "--out", OUTPUTS[0], "--text", OUTPUTS[1],
+            "--width", "128", "--height", "128", "--diagnostics",
+        ]
+
+
+def sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def run(main, argv):
+    """(exit code, stdout bytes) of one in-process CLI run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = str(main(argv))
+        except Exception as exc:  # a crash is a transcript row too
+            code = f"raised {type(exc).__name__}"
+    return code, out.getvalue().encode("utf-8")
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument(
+        "--root",
+        default=os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."),
+        help="checkout whose src/ and fixtures/ to use (default: this one)",
+    )
+    args = ap.parse_args(argv)
+    root = os.path.abspath(args.root)
+    sys.path.insert(0, os.path.join(root, "src"))
+    from mcmlike.cli import main as cli_main
+
+    with tempfile.TemporaryDirectory() as work:
+        shutil.copytree(os.path.join(root, "fixtures"), os.path.join(work, "fixtures"))
+        here = os.getcwd()
+        os.chdir(work)
+        try:
+            for row in rows("fixtures"):
+                for name in OUTPUTS:
+                    if os.path.exists(name):
+                        os.remove(name)
+                code, out = run(cli_main, row)
+                files = []
+                for name in OUTPUTS:
+                    if os.path.exists(name):
+                        with open(name, "rb") as fh:
+                            files.append(f"{name}={sha(fh.read())}")
+                print("\t".join([" ".join(row), code, sha(out)] + files), flush=True)
+        finally:
+            os.chdir(here)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -124,6 +124,7 @@ from .verify import (
     critical_census,
     free_critical_polynomial,
     map_degree,
+    untouched_cycle_checks,
     verify_family,
 )
 

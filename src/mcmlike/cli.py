@@ -21,7 +21,7 @@ from .arith import (
     power_iteration_eigenvalue,
     transition_matrix,
 )
-from .dynamics import ComplexPoly
+from .dynamics import ComplexPoly, MapLike, orbit_points
 from .model import (
     HpcfpModel,
     MultiplierNotZero,
@@ -50,7 +50,7 @@ from .surgery import (
     plan_levels,
     r_threshold,
 )
-from .verify import verify_family
+from .verify import untouched_cycle_checks, verify_family
 
 
 class CliError(Exception):
@@ -77,13 +77,17 @@ def _load(path: str) -> ModelFile:
         raise CliError(f"no such file: {path}") from exc
 
 
+def _classify(mf: ModelFile) -> HpcfpModel:
+    """The file's polynomial, classified with the file's ``maxIter``."""
+    return classify_polynomial(mf.polynomial, max_iter=mf.verify_params().max_iter)
+
+
 def _resolve(mf: ModelFile, need_poles: bool = True) -> Tuple[HpcfpModel, Optional[PoleData]]:
     """Model + pole data for condition-style commands."""
     if mf.abstract is not None:
         model = mf.abstract
     else:
-        params = mf.verify_params()
-        model = classify_polynomial(mf.polynomial, max_iter=params.max_iter)
+        model = _classify(mf)
         if mf.pole_data is not None:
             mf.pole_data.validate(model)
     pd = mf.pole_data
@@ -142,9 +146,8 @@ def cmd_classify(args) -> int:
     if mf.abstract is not None:
         model = mf.abstract
     else:
-        params = mf.verify_params()
         try:
-            model = classify_polynomial(mf.polynomial, max_iter=params.max_iter)
+            model = _classify(mf)
         except (NotHpcfp, MultiplierNotZero) as exc:
             print(f"not classifiable: {exc}")
             return 1
@@ -262,22 +265,30 @@ def cmd_skew(args) -> int:
     return 0 if agree else 1
 
 
+def _render_attractors(mf: ModelFile, fmap: MapLike) -> Tuple[Optional[list], Optional[str]]:
+    """(attractors, note) to seed a render of ``fmap`` with.
+
+    A polynomial contributes every bounded cycle of its model.  A family
+    contributes the untouched cycles that persist under the perturbation,
+    by the test ``verify`` applies, each as the orbit of the point Newton
+    found.  An unclassifiable polynomial gives no attractors and a note.
+    """
+    try:
+        model = _classify(mf)
+    except (NotHpcfp, MultiplierNotZero) as exc:
+        return None, f"no attractors: {exc}"
+    if mf.family is None:
+        return [(c.points, c.period) for c in model.cycles], None
+    checks = untouched_cycle_checks(fmap, model, mf.pole_data, mf.verify_params().newton_tol)
+    return [(orbit_points(fmap, c.found, c.period), c.period) for c in checks if c.persisted], None
+
+
 def cmd_render(args) -> int:
     mf = _load(args.model)
-    attractors = None
-    note = None
-    if mf.family is not None:
-        fmap = mf.build_map(lambda_override=args.lam)
-    else:
-        fmap = mf.polynomial
-        if fmap is None:
-            raise CliError("render needs a model file with a polynomial")
-        try:
-            params = mf.verify_params()
-            model = classify_polynomial(fmap, max_iter=params.max_iter)
-            attractors = [(c.points, c.period) for c in model.cycles]
-        except (NotHpcfp, MultiplierNotZero) as exc:
-            note = f"no attractors: {exc}"
+    if mf.polynomial is None:
+        raise CliError("render needs a model file with a polynomial")
+    fmap = mf.build_map(lambda_override=args.lam)
+    attractors, note = _render_attractors(mf, fmap)
     spec = RenderSpec(
         map=fmap,
         width=args.width,
@@ -311,8 +322,8 @@ def cmd_typecmp(args) -> int:
     mfb = _load(args.model_b)
     if mfa.polynomial is None or mfb.polynomial is None:
         raise CliError("typecmp needs polynomial models")
-    ta = normalize_type(mfa.polynomial, pole_data=mfa.pole_data)
-    tb = normalize_type(mfb.polynomial, pole_data=mfb.pole_data)
+    ta = normalize_type(mfa.polynomial, pole_data=mfa.pole_data, model=_classify(mfa))
+    tb = normalize_type(mfb.polynomial, pole_data=mfb.pole_data, model=_classify(mfb))
     equal = types_equal(ta, tb)
     print("types equal" if equal else "types differ")
     return 0 if equal else 1

@@ -199,6 +199,14 @@ def eval_unchecked(f: MapLike, z):
     return val + f.poles.coefficient / den
 
 
+def orbit_points(f: MapLike, z: complex, period: int) -> List[complex]:
+    """[z, f(z), ..., f^(period-1)(z)], evaluated without a pole check."""
+    pts = [z]
+    for _ in range(period - 1):
+        pts.append(eval_unchecked(f, pts[-1]))
+    return pts
+
+
 def eval_map(f: MapLike, z: complex) -> complex:
     """Evaluate a map at a point; raises PoleHit on pole collision."""
     _check_poles(f, z)

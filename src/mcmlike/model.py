@@ -26,6 +26,7 @@ from .dynamics import (
     find_roots,
     iterate_orbit,
     newton_cycle,
+    orbit_points,
 )
 
 
@@ -105,13 +106,6 @@ def from_abstract(degree: int, cycles: Sequence[Tuple[int, Sequence[int]]]) -> H
     return HpcfpModel(degree=degree, cycles=tuple(specs))
 
 
-def _orbit_points(p: ComplexPoly, z: complex, period: int) -> List[complex]:
-    pts = [z]
-    for _ in range(period - 1):
-        pts.append(p.eval(pts[-1]))
-    return pts
-
-
 def _reduce_period(p: ComplexPoly, z: complex, period: int) -> int:
     for q in range(1, period):
         if period % q == 0:
@@ -167,7 +161,7 @@ def classify_polynomial(
         period = _reduce_period(p, z, out.period)
         if period != out.period:
             z = newton_cycle(p, z, period, 1e-13)[0]
-        pts = _orbit_points(p, z, period)
+        pts = orbit_points(p, z, period)
         lam = 1 + 0j
         for x in pts:
             lam *= dp.eval(x)

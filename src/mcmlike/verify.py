@@ -318,6 +318,32 @@ def classify_critical_orbits(
     return CriticalOrbitReport(entries=entries, pole_domains=pole_domains, notes=notes)
 
 
+def untouched_cycle_checks(
+    f: MapLike, model: HpcfpModel, pole_data: Optional[PoleData], newton_tol: float
+) -> List[UntouchedCycleCheck]:
+    """Newton-refine every model cycle that carries no pole data under f.
+
+    Each untouched cycle is followed by ``newton_cycle`` from its phase-0
+    point; it has persisted when Newton converged to a point within
+    0.05 * (1 + |start|) of the start with |multiplier| < 1.  Without pole
+    data every cycle is untouched.  One check per untouched cycle, in
+    model-cycle order.
+    """
+    touched = {i for (i, _), _ in pole_data.entries} if pole_data is not None else set()
+    checks = []
+    for cyc in model.cycles:
+        if cyc.index in touched:
+            continue
+        start = cyc.points[0]
+        found, converged, mult = newton_cycle(f, start, cyc.period, newton_tol)
+        mult = abs(mult) if converged else None
+        persisted = (
+            converged and mult < 1.0 and abs(found - start) <= 0.05 * (1.0 + abs(start))
+        )
+        checks.append(UntouchedCycleCheck(cyc.index, cyc.period, start, found, mult, persisted))
+    return checks
+
+
 def verify_family(
     f: MapLike,
     expected_model: HpcfpModel,
@@ -357,25 +383,15 @@ def verify_family(
         )
         details.extend("orbits: " + s for s in orbit_report.notes)
 
-    touched = {i for (i, _), _ in expected_pole_data.entries}
-    untouched_checks = []
-    for cyc in expected_model.cycles:
-        if cyc.index in touched:
-            continue
-        start = cyc.points[0]
-        found, converged, mult = newton_cycle(f, start, cyc.period, params.newton_tol)
-        mult = abs(mult) if converged else None
-        persisted = (
-            converged and mult < 1.0 and abs(found - start) <= 0.05 * (1.0 + abs(start))
-        )
-        untouched_checks.append(
-            UntouchedCycleCheck(cyc.index, cyc.period, start, found, mult, persisted)
-        )
-        if not persisted:
-            details.append(
-                f"untouched cycle {cyc.index}: persistence failed "
-                f"(found {found}, multiplier {mult})"
-            )
+    untouched_checks = untouched_cycle_checks(
+        f, expected_model, expected_pole_data, params.newton_tol
+    )
+    details.extend(
+        f"untouched cycle {c.cycle}: persistence failed "
+        f"(found {c.found}, multiplier {c.multiplier})"
+        for c in untouched_checks
+        if not c.persisted
+    )
     untouched_cycles_ok = all(c.persisted for c in untouched_checks)
 
     note = "" if condition_holds else "NotExpectedToPass"

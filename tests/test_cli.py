@@ -259,6 +259,41 @@ def test_render_unclassifiable_polynomial_notes(run, tmp_path):
     assert out_path.exists()
 
 
+def _with_max_iter(tmp_path, name, max_iter):
+    data = json.loads((FIXTURES / f"{name}.json").read_text())
+    data["params"]["maxIter"] = max_iter
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_render_family_labels_persisting_cycle_basin(run, tmp_path):
+    # A window around r_milnor's untouched fixed point near sqrt(2)*i: its
+    # basin is Basin 0, not Undecided.
+    text_path = tmp_path / "r.txt"
+    code, out, _ = run(
+        "render", fx("r_milnor"),
+        "--out", str(tmp_path / "r.ppm"), "--text", str(text_path),
+        "--width", "32", "--height", "32",
+        "--center", "1.41421356j", "--half-width", "0.05",
+    )
+    assert code == 0 and "no attractors" not in out
+    tags = text_path.read_text().replace("\n", ",").strip(",").split(",")
+    assert len(tags) == 32 * 32
+    assert all(t.startswith("B0.") for t in tags)
+
+
+def test_render_family_unclassifiable_polynomial_notes(run, tmp_path):
+    out_path = tmp_path / "q.ppm"
+    code, out, _ = run(
+        "render", _with_max_iter(tmp_path, "q_family", 3),
+        "--out", str(out_path), "--width", "8", "--height", "8",
+    )
+    assert code == 0
+    assert "no attractors:" in out
+    assert out_path.exists()
+
+
 def test_render_unwritable_path(run, tmp_path):
     code, _, err = run(
         "render", fx("z3_d3"),
@@ -277,6 +312,15 @@ def test_typecmp(run):
     assert code == 1 and "types differ" in out
     code, _, err = run("typecmp", fx("q_abstract"), fx("z3_d3"))
     assert code == 2 and "polynomial" in err
+
+
+def test_typecmp_classifies_with_each_files_max_iter(run, tmp_path):
+    short = _with_max_iter(tmp_path, "q_family", 3)
+    code, out, _ = run("classify", short)
+    assert code == 1 and "not classifiable" in out
+    for pair in ((short, fx("q_conjugate")), (fx("q_conjugate"), short)):
+        code, out, err = run("typecmp", *pair)
+        assert code == 2 and out == "" and err.startswith("error:")
 
 
 def test_operational_errors(run, tmp_path):

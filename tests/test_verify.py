@@ -19,6 +19,7 @@ from mcmlike.verify import (
     critical_census,
     free_critical_polynomial,
     map_degree,
+    untouched_cycle_checks,
     verify_family,
 )
 
@@ -115,6 +116,18 @@ def test_verify_r_family_untouched_cycle():
     assert chk.cycle == 2 and chk.period == 1 and chk.persisted
     assert abs(chk.found - math.sqrt(2) * 1j) <= 1e-6
     assert chk.multiplier < 1e-3
+
+
+def test_untouched_cycle_checks_is_verify_persistence_rule():
+    f, model, pd, params = load_family("r_milnor")
+    checks = untouched_cycle_checks(f, model, pd, params.newton_tol)
+    assert verify_family(f, model, pd, params).untouched == checks
+    assert [c.cycle for c in checks] == [2] and checks[0].persisted
+    # Without pole data every cycle is untouched; the pole-carrying cycle
+    # at 0 does not persist (0 is a pole of f).
+    bare = untouched_cycle_checks(f, model, None, params.newton_tol)
+    assert [c.cycle for c in bare] == [1, 2]
+    assert not bare[0].persisted and bare[1] == checks[0]
 
 
 def test_verify_nd2_not_expected_to_pass():
