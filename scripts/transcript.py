@@ -10,8 +10,9 @@ behave the same print the same transcript, so a byte-identity check is
 
 The rows: check/eig/classify/plan on every fixture; verify on every family
 at its own lambda and at the 61 factors 10**(-2 + 3j/60) of it; typecmp on
-every ordered pair of polynomial fixtures; skew at depths 5 and 12; and
-render --text --diagnostics at 128x128 on every polynomial fixture.  Runs
+every ordered pair of polynomial fixtures; skew at depths 5 and 12 with
+the default horizon, and at every depth 2..20 with every horizon 0..depth-1;
+and render --text --diagnostics at 128x128 on every polynomial fixture.  Runs
 happen in process, in a scratch directory holding a copy of the fixtures,
 so paths in the output do not depend on the checkout.  Standard library
 only (the checkout's own mcmlike needs numpy).
@@ -65,6 +66,9 @@ def rows(fixtures):
             yield ["typecmp", fx(a), fx(b)]
     for depth in ("5", "12"):
         yield ["skew", "--depth", depth]
+    for depth in range(2, 21):
+        for horizon in range(depth):
+            yield ["skew", "--depth", str(depth), "--horizon", str(horizon)]
     for n in polys:
         yield [
             "render", fx(n), "--out", OUTPUTS[0], "--text", OUTPUTS[1],

@@ -259,9 +259,9 @@ def cmd_skew(args) -> int:
     print(f"buried_preperiodic {census.buried_preperiodic}")
     print(f"undetermined {census.undetermined}")
     print(f"total {census.total}")
-    oracle = unburied_oracle(args.depth, horizon)
-    agree = len(oracle) == census.unburied
-    print(f"oracle: {'OK' if agree else 'FAIL'} ({len(oracle)} unburied)")
+    oracle = unburied_oracle(args.depth, horizon).bit_count()
+    agree = oracle == census.unburied
+    print(f"oracle: {'OK' if agree else 'FAIL'} ({oracle} unburied)")
     return 0 if agree else 1
 
 
@@ -272,11 +272,14 @@ def _render_attractors(mf: ModelFile, fmap: MapLike) -> Tuple[Optional[list], Op
     contributes the untouched cycles that persist under the perturbation,
     by the test ``verify`` applies, each as the orbit of the point Newton
     found.  An unclassifiable polynomial gives no attractors and a note.
+    Pole data, when present, must fit the classified model, as in ``check``.
     """
     try:
         model = _classify(mf)
     except (NotHpcfp, MultiplierNotZero) as exc:
         return None, f"no attractors: {exc}"
+    if mf.pole_data is not None:
+        mf.pole_data.validate(model)
     if mf.family is None:
         return [(c.points, c.period) for c in model.cycles], None
     checks = untouched_cycle_checks(fmap, model, mf.pole_data, mf.verify_params().newton_tol)

@@ -6,14 +6,23 @@ sequences.  One step of the skew product drops the leading symbol: a leading
 and multiplies the angle by -d.  Codes whose forward orbit reaches the
 all-ones cylinder are unburied; the rest are buried, split into preperiodic
 (a later cylinder refines an earlier one) and undetermined-at-this-depth.
+
+After s steps the cylinder of x is x[s:], complemented exactly when
+x[s-1] = 0.  So with y = 1x (length k + 1) and the difference word
+e[i] = y[i] xor y[i+1] (a bijection of {0,1}^k), the step-s cylinder is
+determined by e[s:]: it is all ones iff e[s:] = 0, and the step-s2
+cylinder refines the step-s1 one iff e[s2:] occurs in e at s1.  For horizon
+h, let L = k - h and let v be the last L letters of e.  A code is unburied
+iff v = 0^L, buried preperiodic iff v != 0 also occurs in e at a start in
+[0, h - 1], and undetermined otherwise.  census_at_depth counts these
+classes in closed form; classify_code still iterates the map, and tests
+hold the two to each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
-
-import numpy as np
+from typing import Dict, Tuple
 
 
 class DepthExhausted(Exception):
@@ -142,65 +151,117 @@ class SkewCensus:
 
 
 def census_at_depth(k: int, horizon: int) -> SkewCensus:
-    """Exhaustively classify all 2**k depth-k codes (vectorized).
+    """Count the census of all 2**k depth-k codes without enumerating them.
 
-    Mirrors classify_code exactly: unburied takes precedence, then the
-    first (s2, s1) truncation repeat.  Counts always sum to 2**k.
+    Same counts as classify_code on every code (precedence included), from
+    the reformulation in the module docstring: with L = k - h, a code is
+    unburied iff the last L letters v of e are 0, and buried preperiodic iff
+    v != 0 also occurs in e at a start before h.  Counts always sum to 2**k.
     """
     if not (1 <= k <= 20):
         raise ValueError("need 1 <= k <= 20")
     if horizon < 0 or horizon > k - 1:
         raise ValueError("need 0 <= horizon <= k - 1")
+    h, L = horizon, k - horizon
     total = 1 << k
-    traj: List[np.ndarray] = [np.arange(total, dtype=np.uint32)]
-    for s in range(1, horizon + 1):
-        prev = traj[-1]
-        length = k - s + 1
-        mask = np.uint32((1 << (length - 1)) - 1)
-        head = (prev >> np.uint32(length - 1)) & np.uint32(1)
-        tail = prev & mask
-        traj.append(np.where(head == 1, tail, tail ^ mask))
-
-    unburied = np.zeros(total, dtype=bool)
-    for s, arr in enumerate(traj):
-        target = np.uint32((1 << (k - s)) - 1)
-        unburied |= arr == target
-
-    preper = np.zeros(total, dtype=bool)
-    open_mask = ~unburied
-    for s2 in range(1, horizon + 1):
-        for s1 in range(s2):
-            trunc = traj[s1] >> np.uint32(s2 - s1)
-            hit = open_mask & (traj[s2] == trunc)
-            preper |= hit
-            open_mask &= ~hit
-    n_unburied = int(unburied.sum())
-    n_preper = int(preper.sum())
+    unburied = 1 << h
+    # The period argument needs L >= h - 1; below that, L < k / 2 and the
+    # at most 2**9 patterns v are few enough to group by autocorrelation.
+    if L >= h - 1:
+        preperiodic = _periodic_tail_count(h, L)
+    else:
+        preperiodic = total - unburied - _first_occurrence_count(h, L)
     return SkewCensus(
         depth=k,
         horizon=horizon,
-        unburied=n_unburied,
-        buried_preperiodic=n_preper,
-        undetermined=total - n_unburied - n_preper,
+        unburied=unburied,
+        buried_preperiodic=preperiodic,
+        undetermined=total - unburied - preperiodic,
     )
 
 
-def unburied_oracle(k: int, horizon: int) -> Set[int]:
+def _periodic_tail_count(h: int, L: int) -> int:
+    """Words e = w v (|w| = h, |v| = L >= h - 1, v != 0) where v recurs before h.
+
+    v recurs at h - p iff the tail of e of length L + p has period p.  As
+    L >= h - 1, Fine and Wilf make the least such p divide every other one,
+    and it is least iff the tail's first p letters form a primitive word;
+    the first h - p letters of e are free.  The words with v = 0 that this
+    counts are those with w ending in 0, plus 0^L 1 0^L when L = h - 1.
+    """
+    if h == 0:
+        return 0
+    primitive = [0] * (h + 1)  # 2^p = sum of primitive(d) over d | p
+    for p in range(1, h + 1):
+        primitive[p] = (1 << p) - sum(primitive[d] for d in range(1, p) if p % d == 0)
+    periodic = sum(primitive[p] << (h - p) for p in range(1, h + 1))
+    return periodic - (1 << (h - 1)) - int(L == h - 1)
+
+
+def _first_occurrence_count(h: int, L: int) -> int:
+    """Words e = w v (|w| = h, |v| = L, v != 0) in which v occurs only at h.
+
+    For one v with autocorrelation polynomial c(z), their generating
+    function over |e| is z^L / (z^L + (1 - 2z) c(z)) (Guibas and Odlyzko,
+    JCTA 30, 1981), so the count depends on v only through c and is the
+    z^h coefficient of 1 / (z^L + (1 - 2z) c(z)).
+    """
+    population: Dict[int, int] = {}
+    for v in range(1, 1 << L):
+        corr = 0  # bit i set iff v has period i
+        for i in range(L):
+            if v >> i == v & ((1 << (L - i)) - 1):
+                corr |= 1 << i
+        population[corr] = population.get(corr, 0) + 1
+    count = 0
+    for corr, n_words in population.items():
+        c = [(corr >> i) & 1 for i in range(L)] + [0]
+        den = [c[0]] + [c[j] - 2 * c[j - 1] for j in range(1, L + 1)]
+        den[L] += 1
+        inv = [1]  # power series of 1 / den, den[0] = 1
+        for n in range(1, h + 1):
+            inv.append(-sum(den[j] * inv[n - j] for j in range(1, min(n, L) + 1)))
+        count += n_words * inv[h]
+    return count
+
+
+class CodeSet(int):
+    """A set of depth-k codes as an int bitmask: bit x is set iff x is in it."""
+
+    def __contains__(self, x: int) -> bool:
+        return (self >> x) & 1 == 1
+
+    def __len__(self) -> int:
+        return self.bit_count()
+
+
+def unburied_oracle(k: int, horizon: int) -> CodeSet:
     """Independent oracle: enumerate preimages of the all-ones cylinder.
 
     The 1-branch preimage of a cylinder w is 1w; the 0-branch preimage is
     0 flip(w).  Built by recursion on depth, never calling the forward map.
+    On the bitmask, prepending 1 shifts the inner set up by 2**(k-1) codes,
+    and 0 flip(w) = 2**(k-1) - 1 - w reverses its 2**(k-1) bits, so no step
+    touches a single code.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     full = (1 << k) - 1
-    out = {full}
+    out = 1 << full
     if horizon <= 0 or k == 1:
-        return out
+        return CodeSet(out)
     inner = unburied_oracle(k - 1, horizon - 1)
     high = 1 << (k - 1)
-    mask = high - 1
-    for w in inner:
-        out.add(high | w)  # prepend 1
-        out.add(w ^ mask)  # prepend 0 to the flipped word
-    return out
+    out |= inner << high  # prepend 1
+    out |= _reverse_bits(inner, high)  # prepend 0 to the flipped word
+    return CodeSet(out)
+
+
+_BYTE_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _reverse_bits(x: int, width: int) -> int:
+    """Bit i of the result is bit width - 1 - i of x (x < 2**width)."""
+    n = (width + 7) // 8
+    flipped = x.to_bytes(n, "little").translate(_BYTE_REVERSED)
+    return int.from_bytes(flipped, "big") >> (8 * n - width)

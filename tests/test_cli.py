@@ -294,6 +294,18 @@ def test_render_family_unclassifiable_polynomial_notes(run, tmp_path):
     assert out_path.exists()
 
 
+def test_render_family_validates_pole_data(run, tmp_path):
+    data = json.loads((FIXTURES / "r_milnor.json").read_text())
+    data["pole_data"][0]["cycle"] = 5
+    path = tmp_path / "r_bad.json"
+    path.write_text(json.dumps(data))
+    out_path = tmp_path / "r.ppm"
+    code, _, err = run("render", str(path), "--out", str(out_path), "--width", "8", "--height", "8")
+    assert code == 2
+    assert "cycle 5 out of range 1..2" in err
+    assert not out_path.exists()
+
+
 def test_render_unwritable_path(run, tmp_path):
     code, _, err = run(
         "render", fx("z3_d3"),

@@ -1,7 +1,11 @@
 """Skew-product cylinder dynamics and the census."""
 
+import ast
+
+import numpy as np
 import pytest
 
+import mcmlike.skew
 from mcmlike.skew import (
     BuriedPreperiodic,
     BuriedWandering,
@@ -116,20 +120,74 @@ def test_census_matches_per_code_classification():
 
 
 def test_unburied_oracle_size_law_and_agreement():
-    # |U(k, h)| = 2**h for h <= k - 1.
-    for k in (3, 6, 10):
-        for h in range(k):
-            assert len(unburied_oracle(k, h)) == 2**h
-    k = 10
-    for horizon in (0, 4, 9):
-        oracle = unburied_oracle(k, horizon)
-        hits = set()
-        for x in range(2**k):
-            bits = tuple((x >> (k - 1 - i)) & 1 for i in range(k))
-            if isinstance(classify_code(CodeWord(bits), horizon), Unburied):
-                hits.add(x)
-        assert hits == oracle
-        assert census_at_depth(k, horizon).unburied == len(oracle)
+    # Bit x of the oracle is set iff classify_code calls code x unburied,
+    # |U(k, h)| = 2**h for h <= k - 1, and the census agrees.
+    for k in range(1, 11):
+        for horizon in range(k):
+            oracle = unburied_oracle(k, horizon)
+            hits = 0
+            for x in range(2**k):
+                bits = tuple((x >> (k - 1 - i)) & 1 for i in range(k))
+                if isinstance(classify_code(CodeWord(bits), horizon), Unburied):
+                    hits |= 1 << x
+            assert oracle == hits
+            assert len(oracle) == oracle.bit_count() == 2**horizon
+            assert census_at_depth(k, horizon).unburied == 2**horizon
+
+
+def _enumerated_census(k, horizon):
+    """Reference census: classify all 2**k codes at once with numpy.
+
+    Mirrors classify_code exactly: unburied takes precedence, then the
+    first (s2, s1) truncation repeat.
+    """
+    total = 1 << k
+    traj = [np.arange(total, dtype=np.uint32)]
+    for s in range(1, horizon + 1):
+        prev = traj[-1]
+        length = k - s + 1
+        mask = np.uint32((1 << (length - 1)) - 1)
+        head = (prev >> np.uint32(length - 1)) & np.uint32(1)
+        tail = prev & mask
+        traj.append(np.where(head == 1, tail, tail ^ mask))
+
+    unburied = np.zeros(total, dtype=bool)
+    for s, arr in enumerate(traj):
+        unburied |= arr == np.uint32((1 << (k - s)) - 1)
+
+    preper = np.zeros(total, dtype=bool)
+    open_mask = ~unburied
+    for s2 in range(1, horizon + 1):
+        for s1 in range(s2):
+            hit = open_mask & (traj[s2] == traj[s1] >> np.uint32(s2 - s1))
+            preper |= hit
+            open_mask &= ~hit
+    n_unburied = int(unburied.sum())
+    n_preper = int(preper.sum())
+    return n_unburied, n_preper, total - n_unburied - n_preper
+
+
+@pytest.mark.parametrize(
+    "k, horizons",
+    [(k, range(k)) for k in range(1, 17)] + [(20, (0, 1, 9, 10, 18, 19))],
+)
+def test_census_count_matches_enumeration(k, horizons):
+    for horizon in horizons:
+        census = census_at_depth(k, horizon)
+        counted = (census.unburied, census.buried_preperiodic, census.undetermined)
+        assert counted == _enumerated_census(k, horizon), (k, horizon)
+
+
+def test_skew_module_imports_no_numpy():
+    # Checked on the source, since importing mcmlike loads numpy elsewhere.
+    tree = ast.parse(open(mcmlike.skew.__file__, encoding="utf-8").read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module.split(".")[0])
+    assert "numpy" not in imported
 
 
 def test_depth_twelve_headline_numbers():
