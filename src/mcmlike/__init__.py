@@ -61,6 +61,7 @@ from .model_io import (
     ModelFile,
     ParseError,
     SchemaError,
+    VerifyParams,
     dumps_model,
     load_model,
     loads_model,
@@ -119,7 +120,6 @@ from .verify import (
     InBasinOfInfinityDirectly,
     UntouchedCycleCheck,
     VerificationVerdict,
-    VerifyParams,
     classify_critical_orbits,
     critical_census,
     free_critical_polynomial,

@@ -31,7 +31,7 @@ from .model import (
     riemann_hurwitz_check,
     types_equal,
 )
-from .model_io import ModelFile, ParseError, SchemaError, load_model
+from .model_io import ModelFile, load_model
 from .render import (
     RenderSpec,
     classify_grid,
@@ -401,19 +401,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ParseError, SchemaError, InvalidPoleDataKey) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NotHpcfp, MultiplierNotZero) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    # ParseError and SchemaError are ValueErrors.
+    except (CliError, InvalidPoleDataKey, NotHpcfp, MultiplierNotZero, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -28,7 +28,6 @@ from .dynamics import (
     simple_poles_map,
 )
 from .model import HpcfpModel, from_abstract
-from .verify import VerifyParams
 
 
 class ParseError(ValueError):
@@ -92,6 +91,19 @@ class FamilySpec:
             "lambda": _pair(self.coefficient),
             "factors": [{"location": _pair(a), "order": d} for a, d in self.factors],
         }
+
+
+@dataclass
+class VerifyParams:
+    """Tolerances of ``verify``; ``ModelFile.verify_params`` reads them from ``params``."""
+
+    max_iter: int = 2000
+    escape_radius: Optional[float] = None
+    cycle_tol: float = 1e-9
+    pole_ball: float = 0.1
+    match_tol: float = 1e-4  # pole location -> model cycle point
+    cycle_match_tol: float = 1e-2  # converged orbit -> model cycle
+    newton_tol: float = 1e-10
 
 
 @dataclass

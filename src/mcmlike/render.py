@@ -10,17 +10,17 @@ runs produce bit-identical grids.
 
 Output formats: binary PPM (P6) with a frozen palette, and a plain text
 matrix of class tags (``E<k>``, ``B<id>.<phase>``, ``U``).
+
+numpy is imported inside the functions that build arrays, so importing this
+module (and the CLI, which imports it) does not load numpy.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .dynamics import MapLike, auto_radius, eval_unchecked
 
@@ -115,6 +115,8 @@ def classify_points(
     capture_tol: float = 1e-6,
 ):
     """Classify a flat complex array of seeds; the common vector core."""
+    import numpy as np
+
     radius = escape_radius if escape_radius is not None else auto_radius(f)
     z = np.array(pts, dtype=np.complex128).ravel().copy()
     npts = z.size
@@ -179,6 +181,8 @@ def _thread_count() -> int:
 
 def _axes(spec: RenderSpec) -> Tuple[np.ndarray, np.ndarray]:
     """Real parts of the pixel columns and imaginary parts of the rows."""
+    import numpy as np
+
     pitch = spec.pitch
     xs = spec.center.real + (np.arange(spec.width) - spec.width / 2) * pitch
     ys = spec.center.imag + (spec.height / 2 - np.arange(spec.height)) * pitch
@@ -192,6 +196,8 @@ def classify_grid(spec: RenderSpec) -> ClassGrid:
     power-of-two resolutions sample nested point sets exactly.  Rows are
     split into bands classified independently (MCM_THREADS, 0 = auto).
     """
+    import numpy as np
+
     w, h = spec.width, spec.height
     pitch = spec.pitch
     xs, ys = _axes(spec)
@@ -222,6 +228,8 @@ def classify_grid(spec: RenderSpec) -> ClassGrid:
     if nthreads == 1 or len(bands) == 1:
         results = [run_band(r0, r1) for r0, r1 in bands]
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=nthreads) as pool:
             results = list(pool.map(lambda b: run_band(*b), bands))
     for (r0, r1), (bk, bit, bbi, bbp) in zip(bands, results):
@@ -247,6 +255,8 @@ def radial_profile(
     spec: RenderSpec, angle: float, r_min: float, r_max: float, samples: int
 ) -> RadialProfile:
     """Classify a geometric grid of radii along one ray from the center."""
+    import numpy as np
+
     if samples < 2:
         raise ValueError("samples must be >= 2")
     if not (0 < r_min < r_max):
@@ -276,6 +286,8 @@ def rotational_symmetry_score(grid: ClassGrid, m: int) -> float:
     from ``classify_grid`` (it carries the spec); a grid without a spec
     raises ValueError.
     """
+    import numpy as np
+
     if m < 2:
         raise ValueError("m must be >= 2")
     spec = grid.spec
@@ -302,6 +314,8 @@ def rotational_symmetry_score(grid: ClassGrid, m: int) -> float:
 
 def grid_to_rgb(grid: ClassGrid) -> np.ndarray:
     """(h, w, 3) uint8 image per the frozen palette."""
+    import numpy as np
+
     h, w = grid.kind.shape
     rgb = np.zeros((h, w, 3), dtype=np.uint8)
     esc = grid.kind == KIND_ESCAPED

@@ -31,21 +31,11 @@ from .dynamics import (
     pole_orders,
 )
 from .model import HpcfpModel
+from .model_io import VerifyParams
 
 
 class CensusMismatch(Exception):
     """The critical count with multiplicity missed 2*deg - 2."""
-
-
-@dataclass
-class VerifyParams:
-    max_iter: int = 2000
-    escape_radius: Optional[float] = None
-    cycle_tol: float = 1e-9
-    pole_ball: float = 0.1
-    match_tol: float = 1e-4  # pole location -> model cycle point
-    cycle_match_tol: float = 1e-2  # converged orbit -> model cycle
-    newton_tol: float = 1e-10
 
 
 @dataclass

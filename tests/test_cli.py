@@ -2,9 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mcmlike
 from mcmlike.cli import main
 
 from conftest import FIXTURES
@@ -353,3 +357,35 @@ def test_operational_errors(run, tmp_path):
     )
     code, _, err = run("check", str(both))
     assert code == 2 and "exactly one" in err
+
+
+def _cold(*argv):
+    """Run python with ``argv`` in a fresh interpreter, on the mcmlike imported here."""
+    env = dict(os.environ, PYTHONPATH=str(Path(mcmlike.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True, check=False
+    )
+
+
+def test_import_cli_loads_no_numpy():
+    code = (
+        "import sys, mcmlike.cli; "
+        "print(sorted(m for m in ('numpy', 'concurrent.futures', 'mcmlike.render') if m in sys.modules))"
+    )
+    proc = _cold("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['mcmlike.render']"
+
+
+def test_successive_calls_print_what_fresh_calls_print(run):
+    calls = (
+        ("plan", fx("q_abstract"), "--r", "1e-6"),
+        ("plan", fx("q_abstract")),
+        ("skew", "--depth", "5"),
+        ("skew",),
+        ("eig", fx("q_abstract"), "--cycle", "7"),
+        ("eig", fx("q_abstract")),
+    )
+    for argv in calls:
+        proc = _cold("-m", "mcmlike.cli", *argv)
+        assert run(*argv) == (proc.returncode, proc.stdout, proc.stderr), argv
