@@ -94,13 +94,8 @@ def check_condition(model, pole_data: PoleData) -> ConditionReport:
     """
     pole_data.validate(model)
     rows = []
-    for idx, cyc in enumerate(model.cycles, start=1):
-        prod = Fraction(1)
-        for j in range(cyc.period):
-            n = cyc.degrees[j]
-            d = pole_data.order(idx, j)
-            term = Fraction(1, n) if d is None else Fraction(1, n) + Fraction(1, d)
-            prod *= term
+    for idx in range(1, len(model.cycles) + 1):
+        prod = transition_matrix(model, pole_data, idx).cyclic_product()
         rows.append(CycleCondition(idx, prod, prod < 1, pole_data.picked_phases(idx)))
     return ConditionReport(tuple(rows), all(r.holds for r in rows))
 

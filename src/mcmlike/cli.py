@@ -82,7 +82,7 @@ def _classify(mf: ModelFile) -> HpcfpModel:
     return classify_polynomial(mf.polynomial, max_iter=mf.verify_params().max_iter)
 
 
-def _resolve(mf: ModelFile, need_poles: bool = True) -> Tuple[HpcfpModel, Optional[PoleData]]:
+def _resolve(mf: ModelFile) -> Tuple[HpcfpModel, PoleData]:
     """Model + pole data for condition-style commands."""
     if mf.abstract is not None:
         model = mf.abstract
@@ -91,7 +91,7 @@ def _resolve(mf: ModelFile, need_poles: bool = True) -> Tuple[HpcfpModel, Option
         if mf.pole_data is not None:
             mf.pole_data.validate(model)
     pd = mf.pole_data
-    if pd is None and need_poles:
+    if pd is None:
         raise CliError("model file has no pole_data")
     return model, pd
 

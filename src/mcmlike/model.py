@@ -108,13 +108,29 @@ def from_abstract(degree: int, cycles: Sequence[Tuple[int, Sequence[int]]]) -> H
 
 def _reduce_period(p: ComplexPoly, z: complex, period: int) -> int:
     for q in range(1, period):
-        if period % q == 0:
-            w = z
-            for _ in range(q):
-                w = p.eval(w)
-            if abs(w - z) <= 1e-8 * (1.0 + abs(z)):
-                return q
+        if period % q == 0 and abs(orbit_points(p, z, q + 1)[q] - z) <= 1e-8 * (1.0 + abs(z)):
+            return q
     return period
+
+
+def _canonical_labels(cycles) -> Tuple[List[int], List[int]]:
+    """The canonical (cycle, phase) labelling, by which pole data is keyed.
+
+    ``cycles`` holds (period, points, degrees) per cycle in orbit order.
+    Phase 0 is the phase of maximal degree, ties going to the
+    lexicographically least point; cycles are ordered by (period, phase-0
+    point).  Returns each cycle's rotation r (its old phase r becomes phase
+    0) and the old cycle indices in canonical order.
+    """
+    rotations = [
+        min(range(period), key=lambda j: (-degrees[j], points[j].real, points[j].imag))
+        for period, points, degrees in cycles
+    ]
+    order = sorted(
+        range(len(cycles)),
+        key=lambda k: (cycles[k][0], cycles[k][1][rotations[k]].real, cycles[k][1][rotations[k]].imag),
+    )
+    return rotations, order
 
 
 def classify_polynomial(
@@ -143,7 +159,7 @@ def classify_polynomial(
     crits = find_roots(dp)
     radius = auto_radius(p)
 
-    pool: List[CycleSpec] = []
+    multipliers: List[float] = []
     pool_points: List[List[complex]] = []
     records = []
     notes: List[str] = []
@@ -178,9 +194,9 @@ def classify_polynomial(
                 cid = k
                 break
         if cid is None:
-            pool.append(CycleSpec(0, period, (), tuple(pts), abs(lam)))
+            multipliers.append(abs(lam))
             pool_points.append(pts)
-            cid = len(pool) - 1
+            cid = len(pool_points) - 1
         records.append((c, mult, orbit, cid))
 
     # Assign criticals to phases in raw orbit order first; the canonical
@@ -213,24 +229,9 @@ def classify_polynomial(
             degree_count[cid][phase] += mult
         raw.append((c, mult, cid, phase, pre))
 
-    # Canonical labeling: phase 0 is the phase of maximal degree (ties by
-    # lexicographically least point); cycles ordered by (period, phase-0
-    # point).  This matches the labeling used for pole data throughout.
-    rotated = []
-    rotations = []
-    for spec, pts, counts in zip(pool, pool_points, degree_count):
-        per = len(pts)
-        r = min(
-            range(per),
-            key=lambda j: (-(1 + counts[j]), pts[j].real, pts[j].imag),
-        )
-        rotations.append(r)
-        rpts = tuple(pts[(r + j) % per] for j in range(per))
-        rdeg = tuple(1 + counts[(r + j) % per] for j in range(per))
-        rotated.append((spec.period, rpts, rdeg, spec.multiplier))
-    order = sorted(
-        range(len(rotated)),
-        key=lambda k: (rotated[k][0], rotated[k][1][0].real, rotated[k][1][0].imag),
+    degrees = [[1 + m for m in counts] for counts in degree_count]
+    rotations, order = _canonical_labels(
+        [(len(pts), pts, deg) for pts, deg in zip(pool_points, degrees)]
     )
     remap = {old: new for new, old in enumerate(order)}
 
@@ -239,18 +240,20 @@ def classify_polynomial(
         if cid is None:
             assignments.append(CriticalAssignment(c, mult, None, None, None))
             continue
-        per = rotated[cid][0]
+        per = len(pool_points[cid])
         assignments.append(
             CriticalAssignment(c, mult, remap[cid] + 1, (phase - rotations[cid]) % per, pre)
         )
 
-    if not pool:
+    if not pool_points:
         raise NotHpcfp("every critical orbit escapes; no bounded cycle (N=0)")
 
     specs = []
     for new, old in enumerate(order, start=1):
-        period, pts, degrees, lam = rotated[old]
-        specs.append(CycleSpec(new, period, degrees, pts, lam))
+        r, pts, deg = rotations[old], pool_points[old], degrees[old]
+        specs.append(
+            CycleSpec(new, len(pts), tuple(deg[r:] + deg[:r]), tuple(pts[r:] + pts[:r]), multipliers[old])
+        )
 
     return HpcfpModel(
         degree=n,
@@ -291,33 +294,16 @@ def _fuzzy_cmp(u: Sequence[float], v: Sequence[float], tol: float = 1e-9) -> int
 
 
 def _candidate_structure(model: HpcfpModel, a: complex, b: complex, pole_data: Optional[PoleData]):
-    txp = []
-    for cyc in model.cycles:
-        txp.append(tuple((x - b) / a for x in cyc.points))
-    rot = []
-    for cyc, pts in zip(model.cycles, txp):
-        r = min(
-            range(len(pts)),
-            key=lambda j: (-cyc.degrees[j], pts[j].real, pts[j].imag),
-        )
-        rot.append(r)
-    order = sorted(
-        range(len(model.cycles)),
-        key=lambda k: (
-            model.cycles[k].period,
-            txp[k][rot[k]].real,
-            txp[k][rot[k]].imag,
-        ),
+    txp = [tuple((x - b) / a for x in cyc.points) for cyc in model.cycles]
+    rot, order = _canonical_labels(
+        [(cyc.period, pts, cyc.degrees) for cyc, pts in zip(model.cycles, txp)]
     )
     cycles_out = []
     points_out = []
     for old in order:
-        cyc = model.cycles[old]
-        r = rot[old]
-        degrees = tuple(cyc.degrees[(r + j) % cyc.period] for j in range(cyc.period))
-        pts = tuple(txp[old][(r + j) % cyc.period] for j in range(cyc.period))
-        cycles_out.append((cyc.period, degrees))
-        points_out.append(pts)
+        cyc, pts, r = model.cycles[old], txp[old], rot[old]
+        cycles_out.append((cyc.period, tuple(cyc.degrees[r:] + cyc.degrees[:r])))
+        points_out.append(pts[r:] + pts[:r])
     entries_out = []
     if pole_data is not None:
         new_of_old = {old: new for new, old in enumerate(order)}

@@ -5,8 +5,8 @@ collision semantics as ``dynamics.iterate_orbit``: Escaped(k) at the first
 iterate beyond the escape radius (index 0 for seeds already outside, with
 pole collisions surfacing as non-finite iterates), Basin(id, phase) on
 capture within capture_tol of a supplied attractor point, Undecided at
-max_iter.  Row bands are classified independently, so parallel and serial
-runs produce bit-identical grids.
+max_iter.  Every seed is classified on its own, so splitting the seeds into
+bands for threads (MCM_THREADS) leaves the output bit-identical.
 
 Output formats: binary PPM (P6) with a frozen palette, and a plain text
 matrix of class tags (``E<k>``, ``B<id>.<phase>``, ``U``).
@@ -22,7 +22,7 @@ import os
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .dynamics import MapLike, auto_radius, eval_unchecked
+from .dynamics import MapLike, checked_escape_radius, eval_unchecked
 
 KIND_UNDECIDED = 0
 KIND_ESCAPED = 1
@@ -114,10 +114,11 @@ def classify_points(
     attractors=None,
     capture_tol: float = 1e-6,
 ):
-    """Classify a flat complex array of seeds; the common vector core."""
+    """Classify a flat complex array of seeds; the common vector core.
+    An escape radius below auto_radius(f) raises ValueError."""
     import numpy as np
 
-    radius = escape_radius if escape_radius is not None else auto_radius(f)
+    radius = checked_escape_radius(f, escape_radius)
     z = np.array(pts, dtype=np.complex128).ravel().copy()
     npts = z.size
     kind = np.zeros(npts, dtype=np.uint8)
@@ -179,70 +180,54 @@ def _thread_count() -> int:
     return t
 
 
-def _axes(spec: RenderSpec) -> Tuple[np.ndarray, np.ndarray]:
-    """Real parts of the pixel columns and imaginary parts of the rows."""
+def _seeds(spec: RenderSpec) -> np.ndarray:
+    """(h, w) complex seeds of the window's pixels."""
     import numpy as np
 
     pitch = spec.pitch
     xs = spec.center.real + (np.arange(spec.width) - spec.width / 2) * pitch
     ys = spec.center.imag + (spec.height / 2 - np.arange(spec.height)) * pitch
-    return xs, ys
+    return xs[None, :] + 1j * ys[:, None]
+
+
+def _classify(spec: RenderSpec, seeds: np.ndarray):
+    """classify_points over the flattened seeds with the spec's settings.
+
+    The seeds are split into MCM_THREADS bands (0 = auto) classified
+    independently; every seed is classified on its own, so the joined
+    result does not depend on the band count.
+    """
+    import numpy as np
+
+    bands = np.array_split(seeds.ravel(), min(_thread_count(), seeds.size))
+
+    def run(band):
+        return classify_points(
+            spec.map, band, spec.max_iter, spec.escape_radius, spec.attractors, spec.capture_tol
+        )
+
+    if len(bands) == 1:
+        return run(bands[0])
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=len(bands)) as pool:
+        results = list(pool.map(run, bands))
+    return tuple(np.concatenate(parts) for parts in zip(*results))
 
 
 def classify_grid(spec: RenderSpec) -> ClassGrid:
     """Classify every pixel of the window.
 
     Pixel (ix, iy) samples center + ((ix - w/2) + i*(h/2 - iy)) * pitch, so
-    power-of-two resolutions sample nested point sets exactly.  Rows are
-    split into bands classified independently (MCM_THREADS, 0 = auto).
+    power-of-two resolutions sample nested point sets exactly.
     """
-    import numpy as np
-
-    w, h = spec.width, spec.height
-    pitch = spec.pitch
-    xs, ys = _axes(spec)
-    kind = np.zeros((h, w), dtype=np.uint8)
-    iters = np.zeros((h, w), dtype=np.int32)
-    bid = np.full((h, w), -1, dtype=np.int16)
-    bph = np.full((h, w), -1, dtype=np.int16)
-
-    def run_band(r0: int, r1: int):
-        grid = xs[None, :] + 1j * ys[r0:r1, None]
-        return classify_points(
-            spec.map,
-            grid.ravel(),
-            spec.max_iter,
-            spec.escape_radius,
-            spec.attractors,
-            spec.capture_tol,
-        )
-
-    nthreads = _thread_count()
-    bands = []
-    rows_per = max(1, math.ceil(h / max(1, nthreads)))
-    r = 0
-    while r < h:
-        bands.append((r, min(h, r + rows_per)))
-        r += rows_per
-
-    if nthreads == 1 or len(bands) == 1:
-        results = [run_band(r0, r1) for r0, r1 in bands]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            results = list(pool.map(lambda b: run_band(*b), bands))
-    for (r0, r1), (bk, bit, bbi, bbp) in zip(bands, results):
-        rows = r1 - r0
-        kind[r0:r1] = bk.reshape(rows, w)
-        iters[r0:r1] = bit.reshape(rows, w)
-        bid[r0:r1] = bbi.reshape(rows, w)
-        bph[r0:r1] = bbp.reshape(rows, w)
+    shape = (spec.height, spec.width)
+    kind, iters, bid, bph = (a.reshape(shape) for a in _classify(spec, _seeds(spec)))
     return ClassGrid(
-        width=w,
-        height=h,
+        width=spec.width,
+        height=spec.height,
         center=spec.center,
-        pitch=pitch,
+        pitch=spec.pitch,
         kind=kind,
         iters=iters,
         basin_id=bid,
@@ -264,9 +249,7 @@ def radial_profile(
     t = np.arange(samples) / (samples - 1)
     radii = r_min * (r_max / r_min) ** t
     pts = spec.center + radii * np.exp(1j * angle)
-    kind, iters, _, _ = classify_points(
-        spec.map, pts, spec.max_iter, spec.escape_radius, spec.attractors, spec.capture_tol
-    )
+    kind, iters, _, _ = _classify(spec, pts)
     esc = kind == KIND_ESCAPED
     alternations = int(np.count_nonzero(esc[1:] != esc[:-1]))
     return RadialProfile(
@@ -293,18 +276,9 @@ def rotational_symmetry_score(grid: ClassGrid, m: int) -> float:
     spec = grid.spec
     if spec is None:
         raise ValueError("rotational_symmetry_score needs a grid from classify_grid")
-    xs, ys = _axes(spec)
-    seeds = xs[None, :] + 1j * ys[:, None]
     # Half and quarter turns are exact in floating point; exp(i*pi) is not.
     turn = {2: -1.0, 4: 1j}.get(m, np.exp(2j * math.pi / m))
-    rot_kind, rot_iters, _, _ = classify_points(
-        spec.map,
-        seeds.ravel() * turn,
-        spec.max_iter,
-        spec.escape_radius,
-        spec.attractors,
-        spec.capture_tol,
-    )
+    rot_kind, rot_iters, _, _ = _classify(spec, _seeds(spec) * turn)
     src_esc = grid.kind == KIND_ESCAPED
     dst_esc = (rot_kind == KIND_ESCAPED).reshape(src_esc.shape)
     dst_iters = rot_iters.reshape(src_esc.shape)

@@ -53,10 +53,6 @@ class CriticalCensus:
     map_degree: int
 
     @property
-    def critical_points(self) -> List[Tuple[complex, int]]:
-        return list(self.free_criticals) + [pc for pc in self.pole_criticals if pc[1] > 0]
-
-    @property
     def nu(self) -> int:
         return (
             sum(m for _, m in self.free_criticals)

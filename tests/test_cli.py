@@ -310,6 +310,20 @@ def test_render_family_validates_pole_data(run, tmp_path):
     assert not out_path.exists()
 
 
+def test_render_rejects_small_escape_radius(run, tmp_path):
+    # Orbits may come back from inside auto_radius; verify rejects such a
+    # radius, and render must not relabel basin pixels as Escaped with it.
+    out_path = tmp_path / "r.ppm"
+    code, out, err = run(
+        "render", fx("r_milnor"),
+        "--out", str(out_path), "--width", "64", "--height", "64",
+        "--escape-radius", "1.0",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: escape_radius 1.0 below auto radius")
+    assert not out_path.exists()
+
+
 def test_render_unwritable_path(run, tmp_path):
     code, _, err = run(
         "render", fx("z3_d3"),

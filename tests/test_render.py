@@ -114,10 +114,19 @@ def test_determinism_and_thread_invariance(monkeypatch):
     spec = RenderSpec(map=f_map(), width=48, height=48, max_iter=32)
     monkeypatch.setenv("MCM_THREADS", "1")
     serial = classify_grid(spec)
+    serial_score = rotational_symmetry_score(serial, 3)
+    serial_ray = radial_profile(spec, 0.1, 0.05, 1.5, 200)
     monkeypatch.setenv("MCM_THREADS", "4")
     parallel = classify_grid(spec)
     again = classify_grid(spec)
-    for a, b in ((serial, parallel), (parallel, again)):
+    assert rotational_symmetry_score(parallel, 3) == serial_score
+    ray = radial_profile(spec, 0.1, 0.05, 1.5, 200)
+    assert np.array_equal(ray.kind, serial_ray.kind)
+    assert np.array_equal(ray.iters, serial_ray.iters)
+    # 48*48 seeds in 5 bands: the band boundaries fall inside rows.
+    monkeypatch.setenv("MCM_THREADS", "5")
+    split_rows = classify_grid(spec)
+    for a, b in ((serial, parallel), (parallel, again), (serial, split_rows)):
         assert np.array_equal(a.kind, b.kind)
         assert np.array_equal(a.iters, b.iters)
         assert np.array_equal(a.basin_id, b.basin_id)
