@@ -12,7 +12,8 @@ The rows: check/eig/classify/plan on every fixture; verify on every family
 at its own lambda and at the 61 factors 10**(-2 + 3j/60) of it; typecmp on
 every ordered pair of polynomial fixtures; skew at depths 5 and 12 with
 the default horizon, and at every depth 2..20 with every horizon 0..depth-1;
-and render --text --diagnostics at 128x128 on every polynomial fixture.  Runs
+and render --text --diagnostics at 128x128 on every polynomial fixture;
+``--only <subcommand>`` keeps that subcommand's rows alone.  Runs
 happen in process, in a scratch directory holding a copy of the fixtures,
 so paths in the output do not depend on the checkout.  Standard library
 only (the checkout's own mcmlike needs numpy).
@@ -98,6 +99,12 @@ def main(argv=None):
         default=os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."),
         help="checkout whose src/ and fixtures/ to use (default: this one)",
     )
+    ap.add_argument(
+        "--only",
+        metavar="SUBCOMMAND",
+        choices=("check", "eig", "classify", "plan", "verify", "typecmp", "skew", "render"),
+        help="print only the rows of this subcommand",
+    )
     args = ap.parse_args(argv)
     root = os.path.abspath(args.root)
     sys.path.insert(0, os.path.join(root, "src"))
@@ -109,6 +116,8 @@ def main(argv=None):
         os.chdir(work)
         try:
             for row in rows("fixtures"):
+                if args.only and row[0] != args.only:
+                    continue
                 for name in OUTPUTS:
                     if os.path.exists(name):
                         os.remove(name)

@@ -535,7 +535,7 @@ class OrbitRecord:
 
 # Cycle revisitation is only checked after this many iterates.
 CYCLE_TRANSIENT = 20
-# Largest revisitation period scanned for (bounds the O(k * window) cost).
+# Largest revisitation period looked for.
 PERIOD_WINDOW = 256
 
 
@@ -553,10 +553,22 @@ def iterate_orbit(
     short transient; smallest period wins), or Undecided at max_iter.
     A PoleHit mid-orbit counts as an escape whose passage point is the
     colliding iterate.
+
+    Revisitation: iterate k revisits the latest j in
+    [max(CYCLE_TRANSIENT, k - PERIOD_WINDOW), k - 1] with
+    |z_k - z_j| < cycle_tol.  Iterates are filed in square cells of side
+    at least 2 * cycle_tol, so such a j lies in one of the 3x3 cells
+    around z_k and only those are searched.
     """
     escape_radius = checked_escape_radius(f, escape_radius)
     poles = [a for a, _ in pole_orders(f)]
     rec = OrbitRecord(start=z0, samples=[z0])
+    # The floor R * 2**-48 keeps every cell index below 2**48 (|z| <= R),
+    # so rounding in z / side moves an index by less than the half cell
+    # that the factor 2 leaves.  Without a positive tolerance nothing can
+    # revisit and no cells are kept.
+    side = max(2.0 * cycle_tol, escape_radius * 2.0**-48) if cycle_tol > 0 else 0.0
+    cells = {}
 
     def approach(z):
         if not poles:
@@ -596,11 +608,21 @@ def iterate_orbit(
         if poles and pd <= passage_dist:
             passage, passage_pole, passage_dist = z_new, pk, pd
         z = z_new
-        if k >= CYCLE_TRANSIENT:
+        if k >= CYCLE_TRANSIENT and side:
             lo = max(CYCLE_TRANSIENT, k - PERIOD_WINDOW)
-            for j in range(k - 1, lo - 1, -1):
-                if abs(z - rec.samples[j]) < cycle_tol:
-                    rec.outcome = ConvergedToCycle(k - j, rec.samples[j], j)
-                    return rec
+            cx, cy = math.floor(z.real / side), math.floor(z.imag / side)
+            best = -1
+            for x in (cx - 1, cx, cx + 1):
+                for y in (cy - 1, cy, cy + 1):
+                    for j in reversed(cells.get((x, y), ())):
+                        if j <= best or j < lo:
+                            break
+                        if abs(z - rec.samples[j]) < cycle_tol:
+                            best = j
+                            break
+            if best >= 0:
+                rec.outcome = ConvergedToCycle(k - best, rec.samples[best], best)
+                return rec
+            cells.setdefault((cx, cy), []).append(k)
     rec.outcome = Undecided()
     return rec

@@ -170,14 +170,13 @@ def classify_points(
 
 
 def _thread_count() -> int:
+    """MCM_THREADS, capped at the CPU count; 0 or unset means the CPU
+    count, at most 4.  Anything but a non-negative integer raises
+    ValueError."""
     raw = os.environ.get("MCM_THREADS", "0")
-    try:
-        t = int(raw)
-    except ValueError:
-        t = 0
-    if t <= 0:
-        t = min(4, os.cpu_count() or 1)
-    return t
+    if not raw.strip().isdecimal():
+        raise ValueError(f"MCM_THREADS must be a non-negative integer, got {raw!r}")
+    return min(int(raw) or 4, os.cpu_count() or 1)
 
 
 def _seeds(spec: RenderSpec) -> np.ndarray:

@@ -12,16 +12,20 @@ exists, only falsify it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from .arith import ConditionReport, PoleData, check_condition
 from .dynamics import (
+    EPS,
+    ROOT_CLUSTER_TOL,
     ComplexPoly,
     Escaped,
     MapLike,
     NonConvergence,
     OrbitRecord,
+    RationalMapExpr,
     SimplePoles,
     Undecided,
     checked_escape_radius,
@@ -176,11 +180,210 @@ def free_critical_polynomial(f: MapLike) -> ComplexPoly:
     return out - f.poles.coefficient * acc
 
 
+def _local_coefficient(f: RationalMapExpr, k: int, z: complex) -> complex:
+    """mu_k(z) with f = P + mu_k(z) / (z - a_k)^d_k + (terms regular at a_k):
+    lambda_k for simple poles, lambda / prod_{j != k} (z - a_j)^d_j for a
+    product pole.  For both kinds the pole part of f' is
+    -sum_k d_k mu_k(z) / (z - a_k)^(d_k + 1)."""
+    if isinstance(f.poles, SimplePoles):
+        return f.poles.terms[k].coefficient
+    den = 1
+    for j, (a, d) in enumerate(f.poles.factors):
+        if j != k:
+            den *= (z - a) ** d
+    return f.poles.coefficient / den
+
+
+def _root_circle(center: complex, target: complex, count: int) -> List[complex]:
+    """The count solutions of (z - center)^count = target."""
+    rho = abs(target) ** (1.0 / count)
+    theta = math.atan2(target.imag, target.real)
+    out = []
+    for j in range(count):
+        phi = (theta + 2.0 * math.pi * j) / count
+        out.append(center + rho * complex(math.cos(phi), math.sin(phi)))
+    return out
+
+
+def _taylor_coefficient(p: ComplexPoly, z: complex, j: int) -> complex:
+    """Coefficient of w^j in p(z + w)."""
+    for _ in range(j):
+        p = p.derivative()
+    return p.eval(z) / math.factorial(j)
+
+
+def _census_seeds(f: RationalMapExpr) -> Optional[List[complex]]:
+    """Predicted free critical points from the local structure of f.
+
+    Near a pole a of order d where P' vanishes to order m - 1, f' = 0 reads
+    C (z - a)^(m-1) = d mu(a) / (z - a)^(d+1): m + d points on a circle
+    around a.  A critical point b of P of multiplicity mu that is not a
+    pole moves to C (z - b)^mu = -(pole part of f')(b).  The critical
+    points of P come from find_roots(P'); one within ROOT_CLUSTER_TOL of a
+    pole counts towards that pole's m.  None when a local coefficient
+    vanishes.
+    """
+    dp = f.base.derivative()
+    poles = pole_orders(f)
+    m = [1] * len(poles)
+    seeds = []
+    for b, mu in find_roots(dp):
+        near = [k for k, (a, _) in enumerate(poles) if abs(b - a) <= ROOT_CLUSTER_TOL * (1.0 + abs(a))]
+        if near:
+            m[near[0]] += mu
+            continue
+        c = _taylor_coefficient(dp, b, mu)
+        if c == 0:
+            return None
+        slope = -sum(
+            d * _local_coefficient(f, k, b) / (b - a) ** (d + 1) for k, (a, d) in enumerate(poles)
+        )
+        seeds += _root_circle(b, -slope / c, mu)
+    for k, (a, d) in enumerate(poles):
+        c = _taylor_coefficient(dp, a, m[k] - 1)
+        if c == 0:
+            return None
+        seeds += _root_circle(a, d * _local_coefficient(f, k, a) / c, m[k] + d)
+    return seeds
+
+
+def _power_product(ws, exps) -> Tuple[complex, complex]:
+    """(prod w^e, its derivative in z) for factors w = z - a, by the product
+    rule.  On magnitudes |w| it gives the sums of the magnitudes of the
+    same terms."""
+    v, dv = 1.0, 0.0
+    for w, e in zip(ws, exps):
+        p = 1.0
+        for _ in range(e - 1):
+            p = p * w
+        v, dv = v * p * w, dv * p * w + v * e * p
+    return v, dv
+
+
+def _numerator_evaluator(f: RationalMapExpr):
+    """z -> (F, F', |F|~, |F'|~) for the numerator that
+    free_critical_polynomial expands, evaluated in factored form:
+
+        F = P' prod_j (z - a_j)^(d_j + 1) - sum_k d_k c_k prod_{j != k} (z - a_j)^e_j
+
+    with (c_k, e_j) = (lambda_k, d_j + 1) for simple poles and (lambda, 1)
+    for a product pole.  |F|~ and |F'|~ evaluate the same terms on
+    magnitudes; they scale the rounding error of F and F'.
+    """
+    poles = pole_orders(f)
+    if isinstance(f.poles, SimplePoles):
+        coefs = [t.coefficient for t in f.poles.terms]
+        exps = [d + 1 for _, d in poles]
+    else:
+        coefs = [f.poles.coefficient] * len(poles)
+        exps = [1] * len(poles)
+    full = [d + 1 for _, d in poles]
+    signed = [-d * c for (_, d), c in zip(poles, coefs)]
+    magnitudes = [abs(c) for c in signed]
+    dp = f.base.derivative()
+    ddp = dp.derivative()
+    dp_mag = ComplexPoly(tuple(abs(c) for c in dp.coeffs))
+    ddp_mag = ComplexPoly(tuple(abs(c) for c in ddp.coeffs))
+
+    def combine(ws, p1, p2, cs):
+        w, dw = _power_product(ws, full)
+        val, der = p1 * w, p2 * w + p1 * dw
+        for k, c in enumerate(cs):
+            r, dr = _power_product(ws[:k] + ws[k + 1:], exps[:k] + exps[k + 1:])
+            val += c * r
+            der += c * dr
+        return val, der
+
+    def evaluate(z):
+        ws = [z - a for a, _ in poles]
+        val, der = combine(ws, dp.eval(z), ddp.eval(z), signed)
+        zm = abs(z)
+        mag, dmag = combine(
+            [abs(w) for w in ws], dp_mag.eval(zm).real, ddp_mag.eval(zm).real, magnitudes
+        )
+        return val, der, mag, dmag
+
+    return evaluate
+
+
+# Sweeps of the simultaneous Newton iteration; seeded roots settle in a handful.
+CENSUS_SWEEPS = 60
+
+
+def _certified_roots(f: RationalMapExpr) -> Optional[List[complex]]:
+    """All N roots of the free critical numerator F, certified simple, or None.
+
+    From the seeds, Newton on F in factored form with Aberth's correction
+    (the step F/F' divided by 1 - (F/F') sum_j 1/(z - z_j), so that two
+    seeds cannot settle on one root) moves each approximation until |F| is
+    within its rounding bound g = 8 (N + 2) eps |F|~, or the step is below
+    the spacing of floats at z.  The disc around z of radius
+    N (|F(z)| + g) / (|F'(z)| - g') holds a root of F (some
+    |z - root| <= N |F / F'| for a degree-N polynomial); N pairwise
+    disjoint discs hold all N roots, one each.
+    """
+    roots = _census_seeds(f)
+    n = f.base.degree - 1 + sum(d + 1 for _, d in pole_orders(f))
+    if roots is None or len(roots) != n:
+        return None
+    evaluate = _numerator_evaluator(f)
+    gamma = 8.0 * (n + 2) * EPS
+    values = [None] * n
+    for _ in range(CENSUS_SWEEPS):
+        moving = False
+        for i, z in enumerate(roots):
+            if values[i] is not None:
+                continue
+            val, der, mag, dmag = evaluate(z)
+            if der == 0 or abs(val) <= max(gamma * mag, 2.0 * EPS * abs(z * der)):
+                values[i] = (val, der, mag, dmag)
+                continue
+            others = roots[:i] + roots[i + 1:]
+            if z in others:
+                return None
+            ratio = val / der
+            den = 1.0 - ratio * sum(1.0 / (z - w) for w in others)
+            z = z - (ratio / den if den != 0 else ratio)
+            if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+                return None
+            roots[i] = z
+            moving = True
+        if not moving:
+            break
+    radii = []
+    for z, v in zip(roots, values):
+        val, der, mag, dmag = v if v is not None else evaluate(z)
+        slope = abs(der) - gamma * dmag
+        if not slope > 0:
+            return None
+        radii.append(n * (abs(val) + gamma * mag) / slope)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not abs(roots[i] - roots[j]) > radii[i] + radii[j]:
+                return None
+    return roots
+
+
+def free_critical_points(f: MapLike) -> List[Tuple[complex, int]]:
+    """The free critical points with multiplicities, sorted by (re, im).
+
+    For a rational map, the certified roots of the unexpanded numerator
+    (``_certified_roots``), all simple; when they cannot be certified,
+    find_roots on the expanded free_critical_polynomial(f).  For a
+    polynomial, find_roots(P').
+    """
+    if isinstance(f, RationalMapExpr):
+        roots = _certified_roots(f)
+        if roots is not None:
+            return sorted(((z, 1) for z in roots), key=lambda zm: (zm[0].real, zm[0].imag))
+    return find_roots(free_critical_polynomial(f))
+
+
 def critical_census(f: MapLike) -> CriticalCensus:
     """Count all critical points; enforce nu = 2*deg - 2 exactly."""
     deg = map_degree(f)
     n = f.degree if isinstance(f, ComplexPoly) else f.base.degree
-    free = find_roots(free_critical_polynomial(f))
+    free = free_critical_points(f)
     pole_side = [(a, d - 1) for a, d in pole_orders(f)]
     census = CriticalCensus(
         free_criticals=free,

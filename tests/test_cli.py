@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import mcmlike
+import mcmlike.verify
 from mcmlike.cli import main
+from mcmlike.dynamics import NonConvergence
 
 from conftest import FIXTURES
 
@@ -180,7 +182,14 @@ def test_verify_lambda_override(run):
     "name, lam",
     [("q_family", None), ("h_multipole", "1.1220184543019636e-24")],  # census found / not found
 )
-def test_verify_small_escape_radius_is_operational_error(run, tmp_path, name, lam):
+def test_verify_small_escape_radius_is_operational_error(run, tmp_path, monkeypatch, name, lam):
+    if lam:
+        # The seeded census finds this one; force the census-unavailable
+        # path so that the radius check is still seen to come first.
+        def unavailable(f):
+            raise NonConvergence("root residual too large")
+
+        monkeypatch.setattr(mcmlike.verify, "free_critical_points", unavailable)
     data = json.loads((FIXTURES / f"{name}.json").read_text())
     data["params"]["escapeRadius"] = 1.5
     path = tmp_path / f"{name}.json"
@@ -321,6 +330,16 @@ def test_render_rejects_small_escape_radius(run, tmp_path):
     )
     assert code == 2 and out == ""
     assert err.startswith("error: escape_radius 1.0 below auto radius")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("threads", ["abc", "-3"])
+def test_render_rejects_a_bad_thread_count(run, tmp_path, monkeypatch, threads):
+    monkeypatch.setenv("MCM_THREADS", threads)
+    out_path = tmp_path / "z.ppm"
+    code, out, err = run("render", fx("z3_d3"), "--out", str(out_path), "--width", "8", "--height", "8")
+    assert code == 2 and out == ""
+    assert err == f"error: MCM_THREADS must be a non-negative integer, got '{threads}'\n"
     assert not out_path.exists()
 
 

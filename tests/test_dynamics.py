@@ -7,12 +7,16 @@ import numpy as np
 import pytest
 
 from mcmlike.dynamics import (
+    CYCLE_TRANSIENT,
+    PERIOD_WINDOW,
     ComplexPoly,
     ConvergedToCycle,
     Escaped,
+    OrbitRecord,
     PoleHit,
     Undecided,
     auto_radius,
+    checked_escape_radius,
     eval_map,
     eval_map_derivative,
     eval_unchecked,
@@ -25,6 +29,7 @@ from mcmlike.dynamics import (
 )
 from mcmlike.model import classify_polynomial
 from mcmlike.model_io import load_model
+from mcmlike.verify import critical_census
 
 from conftest import FIXTURES
 
@@ -250,3 +255,135 @@ def test_newton_cycle_orbit_hitting_a_pole_does_not_converge():
     f = simple_poles_map(ComplexPoly([0, 0, 1]), [(1 + 0j, 1, -1 + 0j)])
     assert eval_map(f, 0j) == 1
     assert newton_cycle(f, 0j, 2, 1e-10) == (None, False, None)
+
+
+# ---------------------------------------------------------------------------
+# iterate_orbit against the backwards revisitation scan
+
+
+def reference_iterate_orbit(f, z0, max_iter=512, escape_radius=None, cycle_tol=1e-9):
+    """iterate_orbit with revisitation found by scanning back up to
+    PERIOD_WINDOW iterates at every step: the rule the cell lookup keeps."""
+    escape_radius = checked_escape_radius(f, escape_radius)
+    poles = [a for a, _ in pole_orders(f)]
+    rec = OrbitRecord(start=z0, samples=[z0])
+
+    def approach(z):
+        if not poles:
+            return None, float("inf")
+        return min(((k, abs(z - a)) for k, a in enumerate(poles)), key=lambda kd: kd[1])
+
+    pk, pd = approach(z0)
+    passage, passage_pole, passage_dist = z0, pk, pd
+    z = z0
+    if abs(z) > escape_radius:
+        rec.outcome = Escaped(0, z0, z0, pk, pd)
+        return rec
+    for k in range(1, max_iter + 1):
+        try:
+            z_new = eval_map(f, z)
+        except PoleHit as hit:
+            rec.outcome = Escaped(k, z, z, hit.pole_index, abs(z - hit.location))
+            return rec
+        if not (math.isfinite(z_new.real) and math.isfinite(z_new.imag)):
+            rec.outcome = Escaped(k, z, passage, passage_pole, passage_dist)
+            return rec
+        rec.samples.append(z_new)
+        if abs(z_new) > escape_radius:
+            if poles:
+                rec.outcome = Escaped(k, z, passage, passage_pole, passage_dist)
+            else:
+                rec.outcome = Escaped(k, z, z, None, float("inf"))
+            return rec
+        pk, pd = approach(z_new)
+        if poles and pd <= passage_dist:
+            passage, passage_pole, passage_dist = z_new, pk, pd
+        z = z_new
+        if k >= CYCLE_TRANSIENT:
+            lo = max(CYCLE_TRANSIENT, k - PERIOD_WINDOW)
+            for j in range(k - 1, lo - 1, -1):
+                if abs(z - rec.samples[j]) < cycle_tol:
+                    rec.outcome = ConvergedToCycle(k - j, rec.samples[j], j)
+                    return rec
+    rec.outcome = Undecided()
+    return rec
+
+
+def assert_same_orbit(f, z0, **kwargs):
+    got = iterate_orbit(f, z0, **kwargs)
+    assert got == reference_iterate_orbit(f, z0, **kwargs)
+    return got
+
+
+CONCRETE = sorted(p.stem for p in FIXTURES.glob("*.json") if load_model(p).polynomial is not None)
+
+
+@pytest.mark.parametrize("name", CONCRETE)
+def test_iterate_orbit_matches_reference_on_fixture_critical_orbits(name):
+    mf = load_model(FIXTURES / f"{name}.json")
+    params = mf.verify_params()
+    kwargs = dict(max_iter=params.max_iter, cycle_tol=params.cycle_tol)
+    maps = [mf.polynomial]
+    if mf.family is not None:
+        poles = mf.build_map().poles
+        lam = poles.coefficient if hasattr(poles, "coefficient") else poles.terms[0].coefficient
+        maps += [mf.build_map(lambda_override=lam * s) for s in (0.1, 1.0, 10.0)]
+    outcomes = set()
+    for f in maps:
+        for c, _ in critical_census(f).free_criticals:
+            outcomes.add(type(assert_same_orbit(f, c, **kwargs).outcome).__name__)
+    assert outcomes
+
+
+def test_iterate_orbit_matches_reference_on_random_orbits():
+    rng = random.Random(2024)
+    maps = [load_model(FIXTURES / f"{name}.json").build_map() for name in CONCRETE]
+    outcomes = set()
+    for _ in range(150):
+        f = rng.choice(maps)
+        z0 = complex(rng.uniform(-1.6, 1.6), rng.uniform(-1.6, 1.6))
+        tol = rng.choice([1e-9, 1e-6, 1e-3])
+        out = assert_same_orbit(f, z0, max_iter=rng.choice([30, 400, 1000]), cycle_tol=tol)
+        outcomes.add(type(out.outcome).__name__)
+    assert outcomes == {"ConvergedToCycle", "Escaped", "Undecided"}
+
+
+def test_iterate_orbit_cycle_straddling_cell_boundaries():
+    # With cycle_tol 1e-9 the cells have side 2e-9.  An attracting fixed
+    # point and an attracting 2-cycle point sit on the cell corner p; their
+    # multipliers are -1/2, so iterates approach from alternating sides and
+    # the revisiting iterate lies in a different cell from the one it
+    # revisits.
+    tol = 1e-9
+    side = 2 * tol
+    p = 1000 * side * (1 + 1j)
+
+    def cell(z):
+        return math.floor(z.real / side), math.floor(z.imag / side)
+
+    fixed = ComplexPoly([1.5 * p, -0.5])  # z -> p - (z - p) / 2
+    # z^2 - 9/8 has a 2-cycle {z1, z2} with multiplier -1/2.  |f'(z2)| < 1,
+    # so deviations at z1 = f(z2) are the smaller ones and the revisit is
+    # found there: z1 goes onto p.
+    z1 = (-1 - math.sqrt(1.5)) / 2
+    s = p - z1
+    two_cycle = ComplexPoly([s * s - 1.125 + s, -2 * s, 1])  # (z - s)^2 - 9/8 + s
+    for f, period, z0 in ((fixed, 1, p + 3e-3 - 5e-3j), (two_cycle, 2, p + 0.01 + 0.002j)):
+        rec = assert_same_orbit(f, z0, cycle_tol=tol)
+        out = rec.outcome
+        assert isinstance(out, ConvergedToCycle) and out.period == period
+        assert abs(out.representative - p) < 1e-8
+        assert cell(rec.samples[-1]) != cell(out.representative)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-300, float("inf"), float("nan"), -1.0])
+def test_iterate_orbit_degenerate_cycle_tolerances(tol):
+    cube = ComplexPoly([0, 0, 0, 1])  # 0.5 underflows to exactly 0
+    assert_same_orbit(cube, 0.5 + 0j, cycle_tol=tol)
+    basilica = ComplexPoly([-1, 0, 1])
+    assert_same_orbit(basilica, 0.01 + 0j, cycle_tol=tol)
+    f = simple_poles_map(Q, [(0j, 1, 1e-5 + 0j)])
+    assert_same_orbit(f, 0.3 + 0.2j, cycle_tol=tol, max_iter=300)
+    if tol == 1e-300:
+        rec = iterate_orbit(cube, 0.5 + 0j, cycle_tol=tol)
+        assert rec.outcome == ConvergedToCycle(1, 0j, CYCLE_TRANSIENT)

@@ -1,5 +1,6 @@
 """Grid classification, PPM export, and diagnostic profiles."""
 
+import os
 import random
 
 import numpy as np
@@ -14,6 +15,7 @@ from mcmlike.render import (
     PALETTE8,
     ClassGrid,
     RenderSpec,
+    _thread_count,
     classify_grid,
     classify_points,
     grid_to_rgb,
@@ -112,6 +114,7 @@ def test_resolution_nesting_is_exact():
 
 def test_determinism_and_thread_invariance(monkeypatch):
     spec = RenderSpec(map=f_map(), width=48, height=48, max_iter=32)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # so that 4 and 5 are not capped
     monkeypatch.setenv("MCM_THREADS", "1")
     serial = classify_grid(spec)
     serial_score = rotational_symmetry_score(serial, 3)
@@ -132,6 +135,29 @@ def test_determinism_and_thread_invariance(monkeypatch):
         assert np.array_equal(a.basin_id, b.basin_id)
         assert np.array_equal(a.basin_phase, b.basin_phase)
     assert grid_to_rgb(serial).tobytes() == grid_to_rgb(parallel).tobytes()
+
+
+@pytest.mark.parametrize(
+    "raw, cpus, want",
+    [("1", 2, 1), ("2", 2, 2), ("64", 2, 2), ("100000", 16, 16), ("0", 2, 2), ("0", 16, 4), (" 3 ", 8, 3)],
+)
+def test_thread_count_is_capped_at_the_cpu_count(monkeypatch, raw, cpus, want):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setenv("MCM_THREADS", raw)
+    assert _thread_count() == want
+
+
+def test_thread_count_defaults_to_auto(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    monkeypatch.delenv("MCM_THREADS", raising=False)
+    assert _thread_count() == 1
+
+
+@pytest.mark.parametrize("raw", ["abc", "-3", "", "2.5"])
+def test_thread_count_rejects_non_integers(monkeypatch, raw):
+    monkeypatch.setenv("MCM_THREADS", raw)
+    with pytest.raises(ValueError, match="MCM_THREADS must be a non-negative integer"):
+        _thread_count()
 
 
 def test_odd_map_has_exact_half_turn_symmetry():

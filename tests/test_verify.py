@@ -9,7 +9,15 @@ import pytest
 
 import mcmlike.verify
 from mcmlike.arith import PoleData
-from mcmlike.dynamics import ComplexPoly, NonConvergence, eval_map_derivative
+from mcmlike.dynamics import (
+    ComplexPoly,
+    NonConvergence,
+    eval_map_derivative,
+    find_roots,
+    pole_orders,
+    product_pole_map,
+    simple_poles_map,
+)
 from mcmlike.model import classify_polynomial, from_abstract
 from mcmlike.model_io import load_model
 from mcmlike.verify import (
@@ -17,6 +25,7 @@ from mcmlike.verify import (
     EscapesViaTrapDoor,
     InBasinOfInfinityDirectly,
     critical_census,
+    free_critical_points,
     free_critical_polynomial,
     map_degree,
     untouched_cycle_checks,
@@ -188,13 +197,14 @@ def test_free_critical_polynomial_identity(name):
 def test_verify_computes_the_census_once(monkeypatch):
     f, model, pd, params = load_family("h_multipole")
     calls = []
-    real = mcmlike.verify.find_roots
+    real = mcmlike.verify.free_critical_points
 
-    def counting(poly, *args, **kwargs):
-        calls.append(poly.degree)
-        return real(poly, *args, **kwargs)
+    def counting(fmap, *args, **kwargs):
+        points = real(fmap, *args, **kwargs)
+        calls.append(sum(m for _, m in points))
+        return points
 
-    monkeypatch.setattr(mcmlike.verify, "find_roots", counting)
+    monkeypatch.setattr(mcmlike.verify, "free_critical_points", counting)
     verdict = verify_family(f, model, pd, params)
     assert verdict.passed
     assert calls == [15]
@@ -203,10 +213,10 @@ def test_verify_computes_the_census_once(monkeypatch):
 def test_unavailable_census_fails_both_checks(monkeypatch):
     f, model, pd, params = load_family("q_family")
 
-    def no_roots(poly, *args, **kwargs):
+    def no_roots(fmap, *args, **kwargs):
         raise NonConvergence("root residual too large")
 
-    monkeypatch.setattr(mcmlike.verify, "find_roots", no_roots)
+    monkeypatch.setattr(mcmlike.verify, "free_critical_points", no_roots)
     verdict = verify_family(f, model, pd, params)
     assert verdict.census is None and verdict.orbit_report is None
     assert not verdict.census_ok and not verdict.critical_orbits_ok
@@ -219,9 +229,102 @@ def test_unavailable_census_fails_both_checks(monkeypatch):
 def test_programming_error_in_census_propagates(monkeypatch):
     f, model, pd, params = load_family("q_family")
 
-    def broken(poly, *args, **kwargs):
+    def broken(fmap, *args, **kwargs):
         raise TypeError("broken root finder")
 
-    monkeypatch.setattr(mcmlike.verify, "find_roots", broken)
+    monkeypatch.setattr(mcmlike.verify, "free_critical_points", broken)
     with pytest.raises(TypeError, match="broken root finder"):
         verify_family(f, model, pd, params)
+
+
+# ---------------------------------------------------------------------------
+# The seeded census
+
+
+def no_fallback(monkeypatch):
+    """Make the expanded-coefficient fallback fail loudly."""
+
+    def refuse(fmap):
+        raise AssertionError("census fell back to the expanded numerator")
+
+    monkeypatch.setattr(mcmlike.verify, "free_critical_polynomial", refuse)
+
+
+def shifted_families():
+    """Maps with every pole away from 0: base z^n + c, n = 2..5; one simple
+    pole at 1 of order d, two simple poles, or a product pole at 1 and
+    -0.5 + i; d = 1..6; complex lambda with |lambda| = 1e-2 .. 1e-22."""
+    for n in range(2, 6):
+        base = ComplexPoly([0.3 - 0.2j] + [0] * (n - 1) + [1])
+        for d in range(1, 7):
+            for k in range(2, 23, 2):
+                lam = 10.0**-k
+                second = (-0.5 + 1j, max(1, d - 2))
+                yield simple_poles_map(base, [(1, d, lam * (0.6 + 0.8j))])
+                yield simple_poles_map(base, [(1, d, lam), (*second, -0.7j * lam)])
+                yield product_pole_map(base, lam * (0.6 - 0.8j), [(1, d), second])
+
+
+def test_census_certifies_shifted_pole_families(monkeypatch):
+    no_fallback(monkeypatch)
+    count = 0
+    for f in shifted_families():
+        n = f.base.degree - 1 + sum(d + 1 for _, d in pole_orders(f))
+        points = free_critical_points(f)
+        assert [m for _, m in points] == [1] * n
+        assert len({z for z, _ in points}) == n
+        assert points == sorted(points, key=lambda zm: (zm[0].real, zm[0].imag))
+        # At a critical point P' cancels the pole part of f'.  Near a pole at
+        # distance 1 from 0 the cluster radius falls to ~1e-11, so the
+        # spacing of floats at z limits the cancellation to ~1e-5.
+        for z, _ in points:
+            assert abs(eval_map_derivative(f, z)) <= 1e-3 * abs(f.base.derivative().eval(z))
+        count += 1
+    assert count == 4 * 6 * 11 * 3
+
+
+def test_census_matches_local_newton_near_the_pole(monkeypatch):
+    # h_multipole: f = z^2 - 1 + lam / (z^7 (z + 1)^5).  Near -1, in
+    # w = z + 1, the numerator is 2 (w - 1)^9 w^6 - lam (12 w - 5): six
+    # roots at |w| ~ (5 lam / 2)^(1/6) = 2.5e-4, far below the resolution
+    # of expanded coefficients.
+    no_fallback(monkeypatch)
+    f, _, _, _ = load_family("h_multipole")
+    lam = f.poles.coefficient
+    points = [z for z, _ in free_critical_points(f) if abs(z + 1) < 0.01]
+    assert len(points) == 6
+
+    def local_newton(w):
+        for _ in range(100):
+            val = 2 * (w - 1) ** 9 * w**6 - lam * (12 * w - 5)
+            der = 18 * (w - 1) ** 8 * w**6 + 12 * (w - 1) ** 9 * w**5 - 12 * lam
+            step = val / der
+            w -= step
+            if abs(step) <= 1e-17 * abs(w):
+                break
+        return w
+
+    for z in points:
+        w = local_newton(z + 1)
+        assert abs((z + 1) - w) <= 1e-10 * abs(w)
+        assert abs(abs(w) - (2.5 * abs(lam)) ** (1 / 6)) <= 1e-3 * abs(w)
+
+
+def test_census_found_at_every_sweep_factor_of_h_multipole(monkeypatch):
+    no_fallback(monkeypatch)
+    mf = load_model(FIXTURES / "h_multipole.json")
+    for j in range(61):
+        f = mf.build_map(lambda_override=1e-22 * 10.0 ** (-2.0 + 3.0 * j / 60))
+        census = critical_census(f)
+        assert len(census.free_criticals) == 15 and census.nu == 26
+
+
+def test_census_falls_back_to_expanded_roots():
+    # f = z^3 + lam/(z - 1) - lam/(z + 1): at the double critical point 0 of
+    # z^3 the two pole terms of f' cancel, so both predictions for it sit
+    # on 0 and the census takes the expanded numerator instead.
+    lam = 1e-4
+    f = simple_poles_map(ComplexPoly([0, 0, 0, 1]), [(1, 1, lam), (-1, 1, -lam)])
+    points = free_critical_points(f)
+    assert points == find_roots(free_critical_polynomial(f))
+    assert sum(m for _, m in points) == 2 + 2 + 2
