@@ -19,6 +19,11 @@ from mcmlike.model_io import FamilySpec, ModelFile, dumps_model, loads_model
 OUT = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
+def one_pole(location: complex, order: int, lam: complex) -> FamilySpec:
+    """A simple_poles family with a single pole."""
+    return FamilySpec("simple_poles", ((lam, ((location, order),)),))
+
+
 def emit(name: str, mf: ModelFile) -> None:
     text = dumps_model(mf)
     again = dumps_model(loads_model(text))
@@ -43,7 +48,7 @@ def main() -> None:
     emit("q_family.json", ModelFile(
         polynomial=q_poly,
         pole_data=q_pd,
-        family=FamilySpec(kind="simple_poles", poles=((0j, 1, 1e-5 + 0j),)),
+        family=one_pole(0j, 1, 1e-5 + 0j),
         params={"maxIter": 2000},
     ))
 
@@ -51,7 +56,7 @@ def main() -> None:
     emit("f_cubic.json", ModelFile(
         polynomial=ComplexPoly([0, 0, 0, 1]),
         pole_data=PoleData.from_dict({(1, 0): 3}),
-        family=FamilySpec(kind="simple_poles", poles=((0j, 3, -0.01 + 0j),)),
+        family=one_pole(0j, 3, -0.01 + 0j),
         params={"maxIter": 2000, "poleBall": 0.25},
     ))
 
@@ -59,7 +64,7 @@ def main() -> None:
     emit("g_cubic.json", ModelFile(
         polynomial=ComplexPoly([1j, 0, 0, 1]),
         pole_data=PoleData.from_dict({(1, 0): 3}),
-        family=FamilySpec(kind="simple_poles", poles=((0j, 3, -1e-7 + 0j),)),
+        family=one_pole(0j, 3, -1e-7 + 0j),
         params={"maxIter": 2000},
     ))
 
@@ -68,11 +73,7 @@ def main() -> None:
     emit("h_multipole.json", ModelFile(
         polynomial=ComplexPoly([-1, 0, 1]),
         pole_data=PoleData.from_dict({(1, 0): 7, (1, 1): 5}),
-        family=FamilySpec(
-            kind="product_pole",
-            coefficient=1e-22 + 0j,
-            factors=((0j, 7), (-1 + 0j, 5)),
-        ),
+        family=FamilySpec("product_pole", ((1e-22 + 0j, ((0j, 7), (-1 + 0j, 5))),)),
         params={"maxIter": 2000},
     ))
     emit("h_abstract.json", ModelFile(
@@ -85,7 +86,7 @@ def main() -> None:
     emit("r_milnor.json", ModelFile(
         polynomial=ComplexPoly([0, 0, -1.5 * math.sqrt(2) * 1j, 1]),
         pole_data=PoleData.from_dict({(1, 0): 3}),
-        family=FamilySpec(kind="simple_poles", poles=((0j, 3, 1e-6 + 0j),)),
+        family=one_pole(0j, 3, 1e-6 + 0j),
         params={"maxIter": 2000},
     ))
     emit("r_abstract.json", ModelFile(
@@ -98,7 +99,7 @@ def main() -> None:
     emit("nd2_family.json", ModelFile(
         polynomial=ComplexPoly([0, 0, 1]),
         pole_data=PoleData.from_dict({(1, 0): 2}),
-        family=FamilySpec(kind="simple_poles", poles=((0j, 2, -0.01 + 0j),)),
+        family=one_pole(0j, 2, -0.01 + 0j),
         params={"maxIter": 2000},
     ))
 

@@ -27,9 +27,7 @@ from .dynamics import (
     NonConvergence,
     OrbitRecord,
     PoleHit,
-    ProductPole,
     RationalMapExpr,
-    SimplePoles,
     Undecided,
     auto_radius,
     eval_map,

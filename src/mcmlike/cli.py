@@ -46,7 +46,6 @@ from .surgery import (
     EmptyPoleSet,
     NoSlack,
     compute_alpha_beta,
-    check_non_recurrence,
     plan_levels,
     r_threshold,
 )
@@ -199,11 +198,10 @@ def cmd_plan(args) -> int:
             f"delta {plan.delta[j]:.15g}"
         )
         print(f"phase {j}: Lout {lout:.15g} Lin {lin:.15g} Linf {linf:.15g}")
-    nonrec = check_non_recurrence(plan, sc)
     print(f"levels ordered: {'OK' if plan.point_i else 'FAIL'}")
     print(f"modulus identity: {'OK' if plan.point_ii else 'FAIL'}")
-    print(f"non-recurrence: {'OK' if nonrec else 'FAIL'}")
-    ok = plan.point_i and plan.point_ii and nonrec
+    print(f"non-recurrence: {'OK' if plan.point_iii else 'FAIL'}")
+    ok = plan.point_i and plan.point_ii and plan.point_iii
     print(f"plan: {'OK' if ok else 'FAIL'}")
     return 0 if ok else 1
 
@@ -240,7 +238,7 @@ def cmd_verify(args) -> int:
         print(f"detail: {line}")
     if verdict.note:
         print(f"note: {verdict.note}")
-    ok = verdict.checks_passed and verdict.condition_holds
+    ok = verdict.passed and verdict.condition_holds
     print(f"verdict: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 

@@ -1,12 +1,11 @@
 """Core complex dynamics: polynomials, polynomial-plus-pole maps, roots, orbits.
 
 Maps come in two flavours: plain polynomials (ascending coefficient lists)
-and rational perturbations P(z) + poles, where the pole part is either a sum
-of simple terms lambda_k/(z-a_k)^{d_k} or a single product term
-lambda / prod (z-a_k)^{d_k}.  Everything downstream (classification,
-verification, rendering) is built on the primitives in this module:
-``find_roots``, ``eval_map`` (``eval_unchecked`` on arrays), ``newton_cycle``
-and ``iterate_orbit``.
+and rational perturbations P(z) + sum_t c_t / prod_k (z - a_k)^{d_k}, each
+term a coefficient c_t over its own pole factors.  Everything downstream
+(classification, verification, rendering) is built on the primitives in
+this module: ``find_roots``, ``eval_map`` (``eval_unchecked`` on arrays),
+``newton_cycle`` and ``iterate_orbit``.
 """
 
 from __future__ import annotations
@@ -122,48 +121,38 @@ class ComplexPoly:
 # Rational perturbations
 
 
-@dataclass
-class PoleTerm:
-    location: complex
-    order: int
-    coefficient: complex
-
-
-@dataclass
-class SimplePoles:
-    terms: Tuple[PoleTerm, ...]
-
-
-@dataclass
-class ProductPole:
-    coefficient: complex
-    factors: Tuple[Tuple[complex, int], ...]  # (location, order)
+PoleFactor = Tuple[complex, int]  # (location, order)
 
 
 @dataclass
 class RationalMapExpr:
+    """f = base + sum over terms (c, factors) of c / prod (z - a)^d.
+
+    Every pole (a, d) sits in exactly one term.  ``simple_poles_map``
+    gives each pole a single-factor term of its own; ``product_pole_map``
+    puts every pole in one term.
+    """
+
     base: ComplexPoly
-    poles: Union[SimplePoles, ProductPole]
+    terms: Tuple[Tuple[complex, Tuple[PoleFactor, ...]], ...]
 
 
 MapLike = Union[ComplexPoly, RationalMapExpr]
 
 
 def simple_poles_map(base: ComplexPoly, terms: Sequence[Tuple[complex, int, complex]]) -> RationalMapExpr:
-    return RationalMapExpr(base, SimplePoles(tuple(PoleTerm(complex(a), int(d), complex(lam)) for a, d, lam in terms)))
+    return RationalMapExpr(base, tuple((complex(lam), ((complex(a), int(d)),)) for a, d, lam in terms))
 
 
-def product_pole_map(base: ComplexPoly, lam: complex, factors: Sequence[Tuple[complex, int]]) -> RationalMapExpr:
-    return RationalMapExpr(base, ProductPole(complex(lam), tuple((complex(a), int(d)) for a, d in factors)))
+def product_pole_map(base: ComplexPoly, lam: complex, factors: Sequence[PoleFactor]) -> RationalMapExpr:
+    return RationalMapExpr(base, ((complex(lam), tuple((complex(a), int(d)) for a, d in factors)),))
 
 
-def pole_orders(f: MapLike) -> List[Tuple[complex, int]]:
+def pole_orders(f: MapLike) -> List[PoleFactor]:
     """(location, order) of every pole, in the order the map lists them."""
     if isinstance(f, ComplexPoly):
         return []
-    if isinstance(f.poles, SimplePoles):
-        return [(t.location, t.order) for t in f.poles.terms]
-    return list(f.poles.factors)
+    return [pole for _, factors in f.terms for pole in factors]
 
 
 def _check_poles(f: MapLike, z: complex) -> None:
@@ -175,28 +164,22 @@ def _check_poles(f: MapLike, z: complex) -> None:
 def eval_unchecked(f: MapLike, z):
     """f(z) for a Python complex or a complex ndarray, without a pole check.
 
-    Horner runs from the leading coefficient and every pole power is built
-    one factor (z - a) at a time, so the scalar and the array results
-    differ only in how Python and numpy round complex products and
+    Horner runs from the leading coefficient and every term's denominator
+    is built one factor (z - a) at a time, so the scalar and the array
+    results differ only in how Python and numpy round complex products and
     quotients.
     """
     if isinstance(f, ComplexPoly):
         return f.eval(z)
     val = f.base.eval(z)
-    if isinstance(f.poles, SimplePoles):
-        for t in f.poles.terms:
-            w = z - t.location
-            pw = 1
-            for _ in range(t.order):
-                pw = pw * w
-            val = val + t.coefficient / pw
-        return val
-    den = 1
-    for a, d in f.poles.factors:
-        w = z - a
-        for _ in range(d):
-            den = den * w
-    return val + f.poles.coefficient / den
+    for c, factors in f.terms:
+        den = 1
+        for a, d in factors:
+            w = z - a
+            for _ in range(d):
+                den = den * w
+        val = val + c / den
+    return val
 
 
 def orbit_points(f: MapLike, z: complex, period: int) -> List[complex]:
@@ -219,22 +202,22 @@ def eval_map_derivative(f: MapLike, z: complex) -> complex:
     if isinstance(f, ComplexPoly):
         return f.derivative().eval(z)
     val = f.base.derivative().eval(z)
-    if isinstance(f.poles, SimplePoles):
-        for t in f.poles.terms:
-            w = z - t.location
-            pw = 1
-            for _ in range(t.order + 1):
-                pw = pw * w
-            val = val - t.order * t.coefficient / pw
-        return val
-    den = 1
-    logd = 0j
-    for a, d in f.poles.factors:
-        w = z - a
-        for _ in range(d):
-            den = den * w
-        logd += d / w
-    return val - f.poles.coefficient * logd / den
+    for c, factors in f.terms:
+        # (c / prod w_k^d_k)' = -c num / den with w_k = z - a_k,
+        # num = sum_k d_k prod_{j != k} w_j and den = prod w_k^(d_k + 1);
+        # a single-factor term gets num = d exactly.
+        ws = [z - a for a, _ in factors]
+        num, den = 0, 1
+        for k, (_, d) in enumerate(factors):
+            rest = d
+            for j, w in enumerate(ws):
+                if j != k:
+                    rest = rest * w
+            num = num + rest
+            for _ in range(d + 1):
+                den = den * ws[k]
+        val = val - num * c / den
+    return val
 
 
 def _cycle_derivative(f: MapLike, z: complex, period: int) -> Tuple[complex, complex]:
@@ -287,11 +270,7 @@ def auto_radius(f: MapLike) -> float:
     if isinstance(f, ComplexPoly):
         base, lam_sum = f, 0.0
     else:
-        base = f.base
-        if isinstance(f.poles, SimplePoles):
-            lam_sum = sum(abs(t.coefficient) for t in f.poles.terms)
-        else:
-            lam_sum = abs(f.poles.coefficient)
+        base, lam_sum = f.base, sum(abs(c) for c, _ in f.terms)
     cs = base.coeffs
     total = sum(abs(c) for c in cs)
     lead = abs(cs[-1])

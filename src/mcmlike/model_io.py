@@ -20,13 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .arith import PoleData, InvalidPoleDataKey
-from .dynamics import (
-    ComplexPoly,
-    MapLike,
-    RationalMapExpr,
-    product_pole_map,
-    simple_poles_map,
-)
+from .dynamics import ComplexPoly, MapLike, RationalMapExpr
 from .model import HpcfpModel, from_abstract
 
 
@@ -46,36 +40,36 @@ class SchemaError(ValueError):
 
 
 ROOT_KEYS = {"abstract", "polynomial", "pole_data", "family", "params"}
-PARAM_KEYS = {
-    "maxIter",
-    "escapeRadius",
-    "poleBall",
-    "matchTol",
-    "cycleMatchTol",
-    "cycleTol",
-    "newtonTol",
-    "captureTol",
+# params key -> VerifyParams field.  captureTol is a render knob and stays
+# in params.
+VERIFY_PARAM_FIELDS = {
+    "maxIter": "max_iter",
+    "escapeRadius": "escape_radius",
+    "poleBall": "pole_ball",
+    "matchTol": "match_tol",
+    "cycleMatchTol": "cycle_match_tol",
+    "cycleTol": "cycle_tol",
+    "newtonTol": "newton_tol",
 }
+PARAM_KEYS = {*VERIFY_PARAM_FIELDS, "captureTol"}
 
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Rational perturbation attached to a polynomial base map."""
+    """Rational perturbation attached to a polynomial base map.
+
+    ``terms`` are those of ``RationalMapExpr``: one single-factor term per
+    pole for ``simple_poles``, one term holding every factor for
+    ``product_pole``.  ``kind`` only selects the on-disk layout.
+    """
 
     kind: str  # "simple_poles" | "product_pole"
-    poles: Tuple[Tuple[complex, int, complex], ...] = ()  # (location, order, lambda)
-    coefficient: Optional[complex] = None  # product_pole lambda
-    factors: Tuple[Tuple[complex, int], ...] = ()
+    terms: Tuple[Tuple[complex, Tuple[Tuple[complex, int], ...]], ...]
 
     def build(self, base: ComplexPoly, lambda_override: Optional[complex] = None) -> RationalMapExpr:
-        if self.kind == "simple_poles":
-            terms = [
-                (a, d, lam if lambda_override is None else lambda_override)
-                for a, d, lam in self.poles
-            ]
-            return simple_poles_map(base, terms)
-        lam = self.coefficient if lambda_override is None else lambda_override
-        return product_pole_map(base, lam, list(self.factors))
+        """The map; lambda_override replaces the coefficient of every term."""
+        lam = lambda_override
+        return RationalMapExpr(base, tuple((c if lam is None else complex(lam), fs) for c, fs in self.terms))
 
     def to_dict(self) -> dict:
         if self.kind == "simple_poles":
@@ -83,13 +77,14 @@ class FamilySpec:
                 "kind": "simple_poles",
                 "poles": [
                     {"location": _pair(a), "order": d, "lambda": _pair(lam)}
-                    for a, d, lam in self.poles
+                    for lam, ((a, d),) in self.terms
                 ],
             }
+        ((lam, factors),) = self.terms
         return {
             "kind": "product_pole",
-            "lambda": _pair(self.coefficient),
-            "factors": [{"location": _pair(a), "order": d} for a, d in self.factors],
+            "lambda": _pair(lam),
+            "factors": [{"location": _pair(a), "order": d} for a, d in factors],
         }
 
 
@@ -115,23 +110,9 @@ class ModelFile:
     params: Dict[str, object] = field(default_factory=dict)
 
     def verify_params(self) -> VerifyParams:
-        p = self.params
-        kw = {}
-        if "maxIter" in p:
-            kw["max_iter"] = p["maxIter"]
-        if "escapeRadius" in p:
-            kw["escape_radius"] = p["escapeRadius"]
-        if "poleBall" in p:
-            kw["pole_ball"] = p["poleBall"]
-        if "matchTol" in p:
-            kw["match_tol"] = p["matchTol"]
-        if "cycleMatchTol" in p:
-            kw["cycle_match_tol"] = p["cycleMatchTol"]
-        if "cycleTol" in p:
-            kw["cycle_tol"] = p["cycleTol"]
-        if "newtonTol" in p:
-            kw["newton_tol"] = p["newtonTol"]
-        return VerifyParams(**kw)
+        return VerifyParams(
+            **{fld: self.params[key] for key, fld in VERIFY_PARAM_FIELDS.items() if key in self.params}
+        )
 
     def build_map(self, lambda_override: Optional[complex] = None) -> MapLike:
         if self.polynomial is None:
@@ -258,54 +239,50 @@ def _parse_pole_data(v, model: Optional[HpcfpModel]) -> PoleData:
     return pd
 
 
+def _lambda(v) -> complex:
+    lam = _complex_value(v, "lambda")
+    if lam == 0:
+        raise SchemaError("lambda must be nonzero", key="lambda")
+    return lam
+
+
+def _parse_poles(
+    v, list_key: str, entry: str, with_lambda: bool
+) -> List[Tuple[complex, int, Optional[complex]]]:
+    """(location, order, lambda or None) for each entry of a family's pole
+    list; locations must be distinct."""
+    if not isinstance(v, list) or not v:
+        raise SchemaError(f"{list_key} must be a non-empty list", key=list_key)
+    keys = {"location", "order", "lambda"} if with_lambda else {"location", "order"}
+    out = []
+    seen = set()
+    for p in v:
+        if not isinstance(p, dict):
+            raise SchemaError(f"{entry} must be an object", key=list_key)
+        _require_keys(p, keys, keys, entry)
+        loc = _complex_value(p["location"], "location")
+        order = _integer(p["order"], "order", 1)
+        lam = _lambda(p["lambda"]) if with_lambda else None
+        if loc in seen:
+            raise SchemaError(f"duplicate {entry} location", key="location")
+        seen.add(loc)
+        out.append((loc, order, lam))
+    return out
+
+
 def _parse_family(v) -> FamilySpec:
     if not isinstance(v, dict):
         raise SchemaError("family must be an object", key="family")
     kind = v.get("kind")
     if kind == "simple_poles":
         _require_keys(v, {"kind", "poles"}, {"kind", "poles"}, "family")
-        raw = v["poles"]
-        if not isinstance(raw, list) or not raw:
-            raise SchemaError("poles must be a non-empty list", key="poles")
-        poles = []
-        seen = set()
-        for p in raw:
-            if not isinstance(p, dict):
-                raise SchemaError("pole must be an object", key="poles")
-            _require_keys(
-                p, {"location", "order", "lambda"}, {"location", "order", "lambda"}, "pole"
-            )
-            loc = _complex_value(p["location"], "location")
-            order = _integer(p["order"], "order", 1)
-            lam = _complex_value(p["lambda"], "lambda")
-            if lam == 0:
-                raise SchemaError("lambda must be nonzero", key="lambda")
-            if loc in seen:
-                raise SchemaError("duplicate pole location", key="location")
-            seen.add(loc)
-            poles.append((loc, order, lam))
-        return FamilySpec(kind="simple_poles", poles=tuple(poles))
+        poles = _parse_poles(v["poles"], "poles", "pole", with_lambda=True)
+        return FamilySpec(kind, tuple((lam, ((a, d),)) for a, d, lam in poles))
     if kind == "product_pole":
         _require_keys(v, {"kind", "lambda", "factors"}, {"kind", "lambda", "factors"}, "family")
-        lam = _complex_value(v["lambda"], "lambda")
-        if lam == 0:
-            raise SchemaError("lambda must be nonzero", key="lambda")
-        raw = v["factors"]
-        if not isinstance(raw, list) or not raw:
-            raise SchemaError("factors must be a non-empty list", key="factors")
-        factors = []
-        seen = set()
-        for p in raw:
-            if not isinstance(p, dict):
-                raise SchemaError("factor must be an object", key="factors")
-            _require_keys(p, {"location", "order"}, {"location", "order"}, "factor")
-            loc = _complex_value(p["location"], "location")
-            order = _integer(p["order"], "order", 1)
-            if loc in seen:
-                raise SchemaError("duplicate factor location", key="location")
-            seen.add(loc)
-            factors.append((loc, order))
-        return FamilySpec(kind="product_pole", coefficient=lam, factors=tuple(factors))
+        lam = _lambda(v["lambda"])
+        factors = _parse_poles(v["factors"], "factors", "factor", with_lambda=False)
+        return FamilySpec(kind, ((lam, tuple((a, d) for a, d, _ in factors)),))
     raise SchemaError("kind must be 'simple_poles' or 'product_pole'", key="kind")
 
 

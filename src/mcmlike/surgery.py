@@ -129,14 +129,19 @@ def _picked(pole_data: PoleData, cycle: int):
     return phases, orders
 
 
-def compute_M(model, pole_data: PoleData, cycle: int) -> float:
+def _m_from_product(product, phase_count: int) -> float:
     """M = (cycle product)**(-1/(2|J_i|)); M > 1 exactly when the product < 1."""
+    return float(product) ** (-1.0 / (2.0 * phase_count))
+
+
+def compute_M(model, pole_data: PoleData, cycle: int) -> float:
+    """M = (cycle product)**(-1/(2|J_i|)) for the pole phases J_i of cycle."""
     pole_data.validate(model)
     phases, _ = _picked(pole_data, cycle)
     if not phases:
         raise EmptyPoleSet(f"cycle {cycle} has no pole phases")
     cond = check_condition(model, pole_data).per_cycle[cycle - 1]
-    return float(cond.product) ** (-1.0 / (2.0 * len(phases)))
+    return _m_from_product(cond.product, len(phases))
 
 
 def compute_alpha_beta(
@@ -166,7 +171,7 @@ def compute_alpha_beta(
     cond = check_condition(model, pole_data).per_cycle[cycle - 1]
     if require_condition and not cond.holds:
         raise ConditionFails(f"cycle {cycle} product {cond.product} is not < 1")
-    M = float(cond.product) ** (-1.0 / (2.0 * len(phases)))
+    M = _m_from_product(cond.product, len(phases))
 
     in_j = set(phases)
     t_gaps = {}

@@ -26,7 +26,6 @@ from .dynamics import (
     NonConvergence,
     OrbitRecord,
     RationalMapExpr,
-    SimplePoles,
     Undecided,
     checked_escape_radius,
     find_roots,
@@ -127,17 +126,13 @@ class VerificationVerdict:
     note: str = ""
 
     @property
-    def checks_passed(self) -> bool:
+    def passed(self) -> bool:
         return (
             self.degree_ok
             and self.census_ok
             and self.critical_orbits_ok
             and self.untouched_cycles_ok
         )
-
-    @property
-    def passed(self) -> bool:
-        return self.checks_passed
 
 
 def map_degree(f: MapLike) -> int:
@@ -148,50 +143,53 @@ def map_degree(f: MapLike) -> int:
     return base.degree + sum(d for _, d in pole_orders(f))
 
 
+def _pole_terms(f: RationalMapExpr) -> List[Tuple[int, complex, Tuple[int, ...]]]:
+    """(d_k, c_k, e_k) for every pole k, in pole_orders order: its order,
+    the coefficient of its term, and the exponents e_kj (j != k) of
+
+        F = P' prod_j (z - a_j)^(d_j + 1) - sum_k d_k c_k prod_{j != k} (z - a_j)^e_kj,
+
+    the numerator of f' over prod_j (z - a_j)^(d_j + 1): e_kj is 1 for a
+    pole j in k's own term and d_j + 1 otherwise."""
+    orders = [d for _, d in pole_orders(f)]
+    out, first = [], 0
+    for c, factors in f.terms:
+        own = range(first, first + len(factors))
+        out += [
+            (orders[k], c, tuple(1 if j in own else dj + 1 for j, dj in enumerate(orders) if j != k))
+            for k in own
+        ]
+        first = own.stop
+    return out
+
+
 def free_critical_polynomial(f: MapLike) -> ComplexPoly:
     """Numerator of f' over the common denominator; its roots are the free
     critical points (poles never appear among them)."""
     if isinstance(f, ComplexPoly):
         return f.derivative()
-    dp = f.base.derivative()
-    if isinstance(f.poles, SimplePoles):
-        full = ComplexPoly((1.0,))
-        for t in f.poles.terms:
-            full = full * ComplexPoly.from_roots([t.location] * (t.order + 1))
-        out = dp * full
-        for k, t in enumerate(f.poles.terms):
-            rest = ComplexPoly((t.order * t.coefficient,))
-            for j, u in enumerate(f.poles.terms):
-                if j != k:
-                    rest = rest * ComplexPoly.from_roots([u.location] * (u.order + 1))
-            out = out - rest
-        return out
+    poles = pole_orders(f)
     full = ComplexPoly((1.0,))
-    for a, d in f.poles.factors:
+    for a, d in poles:
         full = full * ComplexPoly.from_roots([a] * (d + 1))
-    out = dp * full
-    acc = ComplexPoly((0j,))
-    for k, (a, d) in enumerate(f.poles.factors):
-        rest = ComplexPoly((float(d),))
-        for j, (b, _) in enumerate(f.poles.factors):
-            if j != k:
-                rest = rest * ComplexPoly.from_roots([b])
-        acc = acc + rest
-    return out - f.poles.coefficient * acc
+    out = f.base.derivative() * full
+    for k, (d, c, exps) in enumerate(_pole_terms(f)):
+        rest = ComplexPoly((d * c,))
+        for (b, _), e in zip(poles[:k] + poles[k + 1:], exps):
+            rest = rest * ComplexPoly.from_roots([b] * e)
+        out = out - rest
+    return out
 
 
 def _local_coefficient(f: RationalMapExpr, k: int, z: complex) -> complex:
     """mu_k(z) with f = P + mu_k(z) / (z - a_k)^d_k + (terms regular at a_k):
-    lambda_k for simple poles, lambda / prod_{j != k} (z - a_j)^d_j for a
-    product pole.  For both kinds the pole part of f' is
-    -sum_k d_k mu_k(z) / (z - a_k)^(d_k + 1)."""
-    if isinstance(f.poles, SimplePoles):
-        return f.poles.terms[k].coefficient
+    the coefficient of pole k's term over the term's other factors.  The
+    pole part of f' is -sum_k d_k mu_k(z) / (z - a_k)^(d_k + 1)."""
+    c, others = [(c, fs[:i] + fs[i + 1:]) for c, fs in f.terms for i in range(len(fs))][k]
     den = 1
-    for j, (a, d) in enumerate(f.poles.factors):
-        if j != k:
-            den *= (z - a) ** d
-    return f.poles.coefficient / den
+    for a, d in others:
+        den *= (z - a) ** d
+    return c / den
 
 
 def _root_circle(center: complex, target: complex, count: int) -> List[complex]:
@@ -264,21 +262,15 @@ def _numerator_evaluator(f: RationalMapExpr):
     """z -> (F, F', |F|~, |F'|~) for the numerator that
     free_critical_polynomial expands, evaluated in factored form:
 
-        F = P' prod_j (z - a_j)^(d_j + 1) - sum_k d_k c_k prod_{j != k} (z - a_j)^e_j
+        F = P' prod_j (z - a_j)^(d_j + 1) - sum_k d_k c_k prod_{j != k} (z - a_j)^e_kj
 
-    with (c_k, e_j) = (lambda_k, d_j + 1) for simple poles and (lambda, 1)
-    for a product pole.  |F|~ and |F'|~ evaluate the same terms on
-    magnitudes; they scale the rounding error of F and F'.
+    with (d_k, c_k, e_kj) from ``_pole_terms``.  |F|~ and |F'|~ evaluate
+    the same terms on magnitudes; they scale the rounding error of F and F'.
     """
     poles = pole_orders(f)
-    if isinstance(f.poles, SimplePoles):
-        coefs = [t.coefficient for t in f.poles.terms]
-        exps = [d + 1 for _, d in poles]
-    else:
-        coefs = [f.poles.coefficient] * len(poles)
-        exps = [1] * len(poles)
+    terms = _pole_terms(f)
     full = [d + 1 for _, d in poles]
-    signed = [-d * c for (_, d), c in zip(poles, coefs)]
+    signed = [-d * c for d, c, _ in terms]
     magnitudes = [abs(c) for c in signed]
     dp = f.base.derivative()
     ddp = dp.derivative()
@@ -288,8 +280,8 @@ def _numerator_evaluator(f: RationalMapExpr):
     def combine(ws, p1, p2, cs):
         w, dw = _power_product(ws, full)
         val, der = p1 * w, p2 * w + p1 * dw
-        for k, c in enumerate(cs):
-            r, dr = _power_product(ws[:k] + ws[k + 1:], exps[:k] + exps[k + 1:])
+        for k, (c, (_, _, exps)) in enumerate(zip(cs, terms)):
+            r, dr = _power_product(ws[:k] + ws[k + 1:], exps)
             val += c * r
             der += c * dr
         return val, der
@@ -398,19 +390,26 @@ def critical_census(f: MapLike) -> CriticalCensus:
     return census
 
 
+def _nearest_cycle_point(model: HpcfpModel, z: complex) -> Optional[Tuple[float, int, int]]:
+    """(distance, cycle index, phase) of the model cycle point nearest z,
+    the first in cycle and phase order on ties; None without cycle points."""
+    best = None
+    for cyc in model.cycles:
+        for j, x in enumerate(cyc.points):
+            d = abs(z - x)
+            if best is None or d < best[0]:
+                best = (d, cyc.index, j)
+    return best
+
+
 def _match_poles_to_domains(
     f: MapLike, model: HpcfpModel, match_tol: float
 ) -> Tuple[Optional[Tuple[int, int]], ...]:
     out = []
     for a, _ in pole_orders(f):
-        best = None
-        for cyc in model.cycles:
-            for j, x in enumerate(cyc.points):
-                d = abs(a - x)
-                if best is None or d < best[0]:
-                    best = (d, cyc.index, j)
+        best = _nearest_cycle_point(model, a)
         if best is not None and best[0] <= match_tol * (1.0 + abs(a)):
-            out.append((best[1], best[2]))
+            out.append(best[1:])
         else:
             out.append(None)
     return tuple(out)
@@ -485,12 +484,7 @@ def classify_critical_orbits(
             continue
         # Converged: match against model cycles.
         rep = out.representative
-        best = None
-        for cyc in model.cycles:
-            for x in cyc.points:
-                d = abs(rep - x)
-                if best is None or d < best[0]:
-                    best = (d, cyc.index)
+        best = _nearest_cycle_point(model, rep)
         if best is not None and best[0] <= params.cycle_match_tol * (1.0 + abs(rep)):
             cid = best[1]
             ok = cid not in touched_cycles

@@ -29,7 +29,7 @@ from mcmlike.dynamics import (
 )
 from mcmlike.model import classify_polynomial
 from mcmlike.model_io import load_model
-from mcmlike.verify import critical_census
+from mcmlike.verify import critical_census, free_critical_points
 
 from conftest import FIXTURES
 
@@ -130,6 +130,34 @@ def test_product_pole_eval():
     assert abs(eval_map(f, z) - want) < 1e-12
     assert pole_orders(f) == [(0j, 2), (-1 + 0j, 1)]
     assert_array_matches_scalar(f, np.array([z, 0.5 - 2j, -1.5 + 0.25j, -1 + 1e-3j]))
+
+
+def bits(z):
+    return (z.real.hex(), z.imag.hex())
+
+
+def test_single_factor_product_pole_is_a_simple_pole():
+    # Both constructors give one term c / (z - a)^d, so the maps are equal
+    # and every evaluator agrees bit for bit on them.
+    rng = random.Random(11)
+    zs = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(10)]
+    differ = []
+    for base in (Q, ComplexPoly([0.3 - 0.2j, 0, 1])):
+        for d in range(1, 7):
+            for a, lam in ((0j, 1e-2 + 0j), (1 - 0.5j, -3e-4 + 2e-4j), (-0.25 + 1j, 0.7j)):
+                f = product_pole_map(base, lam, [(a, d)])
+                g = simple_poles_map(base, [(a, d, lam)])
+                assert f == g
+                arr = np.array(zs)
+                assert eval_unchecked(f, arr).tobytes() == eval_unchecked(g, arr).tobytes()
+                for z in zs:
+                    assert bits(eval_unchecked(f, z)) == bits(eval_unchecked(g, z))
+                    if bits(eval_map_derivative(f, z)) != bits(eval_map_derivative(g, z)):
+                        differ.append((base, a, d, lam, z))
+                assert [(bits(z), m) for z, m in free_critical_points(f)] == [
+                    (bits(z), m) for z, m in free_critical_points(g)
+                ]
+    assert differ == []
 
 
 def assert_array_matches_scalar(f, zs):
@@ -325,8 +353,7 @@ def test_iterate_orbit_matches_reference_on_fixture_critical_orbits(name):
     kwargs = dict(max_iter=params.max_iter, cycle_tol=params.cycle_tol)
     maps = [mf.polynomial]
     if mf.family is not None:
-        poles = mf.build_map().poles
-        lam = poles.coefficient if hasattr(poles, "coefficient") else poles.terms[0].coefficient
+        lam = mf.build_map().terms[0][0]
         maps += [mf.build_map(lambda_override=lam * s) for s in (0.1, 1.0, 10.0)]
     outcomes = set()
     for f in maps:

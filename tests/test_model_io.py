@@ -1,6 +1,8 @@
 """On-disk model format: canonical serialization and total validation."""
 
+import importlib.util
 import json
+import sys
 
 import pytest
 
@@ -233,3 +235,20 @@ def test_build_map_variants():
     abstract = loads_model(abstract_doc([{"period": 1, "degrees": [2]}]))
     with pytest.raises(SchemaError):
         abstract.build_map()
+
+
+def test_make_fixtures_reproduces_the_fixtures(tmp_path, monkeypatch):
+    # The script builds every fixture through FamilySpec and the canonical
+    # serializer; run into tmp_path, it must write fixtures/ byte for byte.
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location(
+        "make_fixtures", FIXTURES.parent / "scripts" / "make_fixtures.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "OUT", str(tmp_path))
+    script.main()
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == sorted(p.name for p in FIXTURES.glob("*.json"))
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes(), name
