@@ -101,7 +101,6 @@ from .surgery import (
     NoSlack,
     SurgeryConstants,
     ThresholdViolation,
-    check_non_recurrence,
     compute_M,
     compute_alpha_beta,
     modulus_same_domain,

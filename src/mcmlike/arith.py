@@ -150,7 +150,12 @@ def leading_eigenvalue(tm: TransitionMatrix) -> float:
     return float(prod) ** (1.0 / p)
 
 
-def power_iteration_eigenvalue(tm: TransitionMatrix, tol: float = 1e-14, max_iter: int = 20000) -> float:
+# Relative change of the estimate at which power iteration stops, and its sweep cap.
+POWER_ITERATION_TOL = 1e-14
+POWER_ITERATION_MAX_ITER = 20000
+
+
+def power_iteration_eigenvalue(tm: TransitionMatrix) -> float:
     """Independent numerical cross-check of the leading eigenvalue.
 
     Runs power iteration on the p-th power of the float matrix (the p-th
@@ -172,14 +177,14 @@ def power_iteration_eigenvalue(tm: TransitionMatrix, tol: float = 1e-14, max_ite
 
     v = [1.0 + 0.01 * i for i in range(p)]
     est = 0.0
-    for _ in range(max_iter):
+    for _ in range(POWER_ITERATION_MAX_ITER):
         w = [sum(b[i][k] * v[k] for k in range(p)) for i in range(p)]
         nrm = max(abs(x) for x in w)
         if nrm == 0.0:
             return 0.0
         new_est = sum(wi * vi for wi, vi in zip(w, v)) / sum(vi * vi for vi in v)
         v = [x / nrm for x in w]
-        if abs(new_est - est) <= tol * max(1.0, abs(new_est)):
+        if abs(new_est - est) <= POWER_ITERATION_TOL * max(1.0, abs(new_est)):
             est = new_est
             break
         est = new_est

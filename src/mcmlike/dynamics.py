@@ -26,6 +26,9 @@ ROOT_RESIDUAL_RTOL = 1e-10
 # Roots closer than this (scaled by local magnitude) are one cluster.
 ROOT_CLUSTER_TOL = 1e-7
 
+# Cap on find_roots' Aberth-Ehrlich sweeps.
+ABERTH_MAX_ITER = 500
+
 
 class PoleHit(Exception):
     """An evaluation point collided with a pole of the map."""
@@ -322,12 +325,12 @@ def _derivative_coeffs(coeffs: Sequence[complex]) -> Tuple[complex, ...]:
     return tuple(k * c for k, c in enumerate(coeffs) if k > 0)
 
 
-def find_roots(poly: ComplexPoly, max_iter: int = 500, cluster_tol: float = ROOT_CLUSTER_TOL):
+def find_roots(poly: ComplexPoly):
     """All roots of a polynomial with multiplicities.
 
     Aberth-Ehrlich simultaneous iteration from a perturbed initial ring,
     followed by Newton polishing and two clustering passes: a plain
-    proximity pass at ``cluster_tol`` and a certified pass that merges the
+    proximity pass at ``ROOT_CLUSTER_TOL`` and a certified pass that merges the
     floating-point scatter of genuine multiple roots (the scatter of an
     m-fold root scales like eps**(1/m), far beyond any fixed tolerance).
     Merged roots are re-polished on the (m-1)-th derivative, where the
@@ -365,7 +368,7 @@ def find_roots(poly: ComplexPoly, max_iter: int = 500, cluster_tol: float = ROOT
             rad = r0 * (1.0 + 0.12 * (rng.random() - 0.5))
             roots.append(rad * complex(math.cos(theta), math.sin(theta)))
         dcoeffs = _derivative_coeffs(coeffs)
-        for _ in range(max_iter):
+        for _ in range(ABERTH_MAX_ITER):
             max_step = 0.0
             for k in range(m):
                 z = roots[k]
@@ -411,18 +414,18 @@ def find_roots(poly: ComplexPoly, max_iter: int = 500, cluster_tol: float = ROOT
     if worst > res_tol:
         raise NonConvergence(f"root residual {worst:.3e} exceeds {res_tol:.3e}")
 
-    clusters = _cluster_roots(roots, coeffs, cluster_tol)
+    clusters = _cluster_roots(roots, coeffs)
     results.extend(clusters)
     results.sort(key=lambda rm: (rm[0].real, rm[0].imag))
     return results
 
 
-def _cluster_roots(roots, coeffs, cluster_tol):
+def _cluster_roots(roots, coeffs):
     # Pass 1: plain proximity merge.
     clusters = []  # (centroid, multiplicity)
     for z in sorted(roots, key=lambda w: (w.real, w.imag)):
         for i, (c, m) in enumerate(clusters):
-            if abs(z - c) <= cluster_tol * (1.0 + abs(c)):
+            if abs(z - c) <= ROOT_CLUSTER_TOL * (1.0 + abs(c)):
                 clusters[i] = ((c * m + z) / (m + 1), m + 1)
                 break
         else:

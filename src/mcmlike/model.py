@@ -45,6 +45,9 @@ class ModelWarning(UserWarning):
 # |multiplier| below this counts as super-attracting.
 SUPERATTRACTING_TOL = 1e-6
 
+# Normal-form coefficients closer than this are equal in types_equal.
+TYPE_COEFF_TOL = 1e-8
+
 
 @dataclass
 class CycleSpec:
@@ -371,10 +374,10 @@ def normalize_type(
     )
 
 
-def types_equal(t1: NormalizedType, t2: NormalizedType, coeff_tol: float = 1e-8) -> bool:
+def types_equal(t1: NormalizedType, t2: NormalizedType) -> bool:
     """Equality of normal forms: coefficients within tolerance, combinatorics exact."""
     if len(t1.coeffs) != len(t2.coeffs):
         return False
-    if any(abs(x - y) > coeff_tol for x, y in zip(t1.coeffs, t2.coeffs)):
+    if any(abs(x - y) > TYPE_COEFF_TOL for x, y in zip(t1.coeffs, t2.coeffs)):
         return False
     return t1.cycles == t2.cycles and t1.pole_entries == t2.pole_entries

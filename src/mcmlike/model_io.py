@@ -67,9 +67,14 @@ class FamilySpec:
     terms: Tuple[Tuple[complex, Tuple[Tuple[complex, int], ...]], ...]
 
     def build(self, base: ComplexPoly, lambda_override: Optional[complex] = None) -> RationalMapExpr:
-        """The map; lambda_override replaces the coefficient of every term."""
-        lam = lambda_override
-        return RationalMapExpr(base, tuple((c if lam is None else complex(lam), fs) for c, fs in self.terms))
+        """The map; lambda_override sets the first term's coefficient and scales
+        every other term's by the same factor, keeping their ratios."""
+        terms = self.terms
+        if lambda_override is not None:
+            lam = complex(lambda_override)
+            scale = lam / terms[0][0]
+            terms = ((lam, terms[0][1]),) + tuple((c * scale, fs) for c, fs in terms[1:])
+        return RationalMapExpr(base, terms)
 
     def to_dict(self) -> dict:
         if self.kind == "simple_poles":

@@ -5,8 +5,7 @@ collision semantics as ``dynamics.iterate_orbit``: Escaped(k) at the first
 iterate beyond the escape radius (index 0 for seeds already outside, with
 pole collisions surfacing as non-finite iterates), Basin(id, phase) on
 capture within capture_tol of a supplied attractor point, Undecided at
-max_iter.  Every seed is classified on its own, so splitting the seeds into
-bands for threads (MCM_THREADS) leaves the output bit-identical.
+max_iter.
 
 Output formats: binary PPM (P6) with a frozen palette, and a plain text
 matrix of class tags (``E<k>``, ``B<id>.<phase>``, ``U``).
@@ -18,7 +17,6 @@ module (and the CLI, which imports it) does not load numpy.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -169,16 +167,6 @@ def classify_points(
     return kind, iters, bid, bph
 
 
-def _thread_count() -> int:
-    """MCM_THREADS, capped at the CPU count; 0 or unset means the CPU
-    count, at most 4.  Anything but a non-negative integer raises
-    ValueError."""
-    raw = os.environ.get("MCM_THREADS", "0")
-    if not raw.strip().isdecimal():
-        raise ValueError(f"MCM_THREADS must be a non-negative integer, got {raw!r}")
-    return min(int(raw) or 4, os.cpu_count() or 1)
-
-
 def _seeds(spec: RenderSpec) -> np.ndarray:
     """(h, w) complex seeds of the window's pixels."""
     import numpy as np
@@ -190,28 +178,10 @@ def _seeds(spec: RenderSpec) -> np.ndarray:
 
 
 def _classify(spec: RenderSpec, seeds: np.ndarray):
-    """classify_points over the flattened seeds with the spec's settings.
-
-    The seeds are split into MCM_THREADS bands (0 = auto) classified
-    independently; every seed is classified on its own, so the joined
-    result does not depend on the band count.
-    """
-    import numpy as np
-
-    bands = np.array_split(seeds.ravel(), min(_thread_count(), seeds.size))
-
-    def run(band):
-        return classify_points(
-            spec.map, band, spec.max_iter, spec.escape_radius, spec.attractors, spec.capture_tol
-        )
-
-    if len(bands) == 1:
-        return run(bands[0])
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=len(bands)) as pool:
-        results = list(pool.map(run, bands))
-    return tuple(np.concatenate(parts) for parts in zip(*results))
+    """classify_points over the flattened seeds with the spec's settings."""
+    return classify_points(
+        spec.map, seeds, spec.max_iter, spec.escape_radius, spec.attractors, spec.capture_tol
+    )
 
 
 def classify_grid(spec: RenderSpec) -> ClassGrid:

@@ -282,24 +282,18 @@ def plan_levels(
         j: (r ** sc.alpha[j], r ** sc.beta[j], r ** delta[j]) for j in sc.phases
     }
 
-    point_i = all(
-        sc.alpha[j] < sc.beta[j] and sc.beta[j] <= delta[j] for j in sc.phases
-    )
+    unordered = [j for j in sc.phases if not sc.alpha[j] < sc.beta[j] <= delta[j]]
     point_ii = all(
         abs((delta[j] - sc.beta[j]) * log_inv_r / two_pi - mods[j] / sc.pole_orders[j])
         <= 1e-12 * (1.0 + mods[j] / sc.pole_orders[j])
         for j in sc.phases
     )
-    point_iii = all(
-        delta[sc.next_phase(j)] < sc.chain_rhs(j) for j in sc.phases
-    )
+    recurrent = [j for j in sc.phases if not delta[sc.next_phase(j)] < sc.chain_rhs(j)]
 
-    if strict and not point_i:
-        bad = [j for j in sc.phases if not (sc.alpha[j] < sc.beta[j] <= delta[j])]
-        raise LevelOrderViolation(f"level ordering fails at phases {bad}")
-    if strict and not point_iii:
-        bad = [j for j in sc.phases if not delta[sc.next_phase(j)] < sc.chain_rhs(j)]
-        raise ThresholdViolation(f"non-recurrence levels fail at phases {bad} for r = {r}")
+    if strict and unordered:
+        raise LevelOrderViolation(f"level ordering fails at phases {unordered}")
+    if strict and recurrent:
+        raise ThresholdViolation(f"non-recurrence levels fail at phases {recurrent} for r = {r}")
 
     return LevelPlan(
         r=r,
@@ -307,12 +301,8 @@ def plan_levels(
         levels=levels,
         delta=delta,
         r_threshold=r_threshold(sc, groetzsch_c),
-        point_i=point_i,
+        point_i=not unordered,
         point_ii=point_ii,
-        point_iii=point_iii,
+        point_iii=not recurrent,
     )
 
-
-def check_non_recurrence(plan: LevelPlan, sc: SurgeryConstants) -> bool:
-    """Level-arithmetic non-recurrence: r**delta_{next(j)} > r**(chain_rhs(j))."""
-    return all(plan.delta[sc.next_phase(j)] < sc.chain_rhs(j) for j in sc.phases)

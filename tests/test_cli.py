@@ -333,16 +333,6 @@ def test_render_rejects_small_escape_radius(run, tmp_path):
     assert not out_path.exists()
 
 
-@pytest.mark.parametrize("threads", ["abc", "-3"])
-def test_render_rejects_a_bad_thread_count(run, tmp_path, monkeypatch, threads):
-    monkeypatch.setenv("MCM_THREADS", threads)
-    out_path = tmp_path / "z.ppm"
-    code, out, err = run("render", fx("z3_d3"), "--out", str(out_path), "--width", "8", "--height", "8")
-    assert code == 2 and out == ""
-    assert err == f"error: MCM_THREADS must be a non-negative integer, got '{threads}'\n"
-    assert not out_path.exists()
-
-
 def test_render_unwritable_path(run, tmp_path):
     code, _, err = run(
         "render", fx("z3_d3"),
@@ -408,6 +398,19 @@ def test_import_cli_loads_no_numpy():
     proc = _cold("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "['mcmlike.render']"
+
+
+def test_render_starts_no_thread_pool(tmp_path):
+    script = (
+        "import os, sys; os.environ.pop('MCM_THREADS', None); "
+        "from mcmlike.cli import main; "
+        f"code = main(['render', {fx('f_cubic')!r}, '--out', {str(tmp_path / 'f.ppm')!r}, "
+        "'--width', '32', '--height', '32', '--diagnostics']); "
+        "print(code, 'concurrent.futures' in sys.modules)"
+    )
+    proc = _cold("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 def test_successive_calls_print_what_fresh_calls_print(run):

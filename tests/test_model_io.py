@@ -237,6 +237,19 @@ def test_build_map_variants():
         abstract.build_map()
 
 
+def test_lambda_override_keeps_the_pole_lambda_ratios():
+    two = {
+        "kind": "simple_poles",
+        "poles": [
+            {"location": [1, 0], "order": 1, "lambda": [2.0**-10, 0]},
+            {"location": [-1, 0], "order": 1, "lambda": [-(2.0**-8), 0]},
+        ],
+    }
+    f = loads_model(poly_doc(family=two)).build_map(lambda_override=2.0**-9)
+    assert [c for c, _ in f.terms] == [2.0**-9, -(2.0**-7)]
+    assert [fs for _, fs in f.terms] == [((1 + 0j, 1),), ((-1 + 0j, 1),)]
+
+
 def test_make_fixtures_reproduces_the_fixtures(tmp_path, monkeypatch):
     # The script builds every fixture through FamilySpec and the canonical
     # serializer; run into tmp_path, it must write fixtures/ byte for byte.

@@ -1,6 +1,5 @@
 """Grid classification, PPM export, and diagnostic profiles."""
 
-import os
 import random
 
 import numpy as np
@@ -15,7 +14,6 @@ from mcmlike.render import (
     PALETTE8,
     ClassGrid,
     RenderSpec,
-    _thread_count,
     classify_grid,
     classify_points,
     grid_to_rgb,
@@ -112,52 +110,20 @@ def test_resolution_nesting_is_exact():
     assert np.array_equal(hi.iters[0::4, 0::4], lo.iters)
 
 
-def test_determinism_and_thread_invariance(monkeypatch):
+def test_determinism():
     spec = RenderSpec(map=f_map(), width=48, height=48, max_iter=32)
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # so that 4 and 5 are not capped
-    monkeypatch.setenv("MCM_THREADS", "1")
-    serial = classify_grid(spec)
-    serial_score = rotational_symmetry_score(serial, 3)
-    serial_ray = radial_profile(spec, 0.1, 0.05, 1.5, 200)
-    monkeypatch.setenv("MCM_THREADS", "4")
-    parallel = classify_grid(spec)
+    first = classify_grid(spec)
     again = classify_grid(spec)
-    assert rotational_symmetry_score(parallel, 3) == serial_score
+    assert rotational_symmetry_score(again, 3) == rotational_symmetry_score(first, 3)
     ray = radial_profile(spec, 0.1, 0.05, 1.5, 200)
-    assert np.array_equal(ray.kind, serial_ray.kind)
-    assert np.array_equal(ray.iters, serial_ray.iters)
-    # 48*48 seeds in 5 bands: the band boundaries fall inside rows.
-    monkeypatch.setenv("MCM_THREADS", "5")
-    split_rows = classify_grid(spec)
-    for a, b in ((serial, parallel), (parallel, again), (serial, split_rows)):
-        assert np.array_equal(a.kind, b.kind)
-        assert np.array_equal(a.iters, b.iters)
-        assert np.array_equal(a.basin_id, b.basin_id)
-        assert np.array_equal(a.basin_phase, b.basin_phase)
-    assert grid_to_rgb(serial).tobytes() == grid_to_rgb(parallel).tobytes()
-
-
-@pytest.mark.parametrize(
-    "raw, cpus, want",
-    [("1", 2, 1), ("2", 2, 2), ("64", 2, 2), ("100000", 16, 16), ("0", 2, 2), ("0", 16, 4), (" 3 ", 8, 3)],
-)
-def test_thread_count_is_capped_at_the_cpu_count(monkeypatch, raw, cpus, want):
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setenv("MCM_THREADS", raw)
-    assert _thread_count() == want
-
-
-def test_thread_count_defaults_to_auto(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    monkeypatch.delenv("MCM_THREADS", raising=False)
-    assert _thread_count() == 1
-
-
-@pytest.mark.parametrize("raw", ["abc", "-3", "", "2.5"])
-def test_thread_count_rejects_non_integers(monkeypatch, raw):
-    monkeypatch.setenv("MCM_THREADS", raw)
-    with pytest.raises(ValueError, match="MCM_THREADS must be a non-negative integer"):
-        _thread_count()
+    ray_again = radial_profile(spec, 0.1, 0.05, 1.5, 200)
+    assert np.array_equal(ray.kind, ray_again.kind)
+    assert np.array_equal(ray.iters, ray_again.iters)
+    assert np.array_equal(first.kind, again.kind)
+    assert np.array_equal(first.iters, again.iters)
+    assert np.array_equal(first.basin_id, again.basin_id)
+    assert np.array_equal(first.basin_phase, again.basin_phase)
+    assert grid_to_rgb(first).tobytes() == grid_to_rgb(again).tobytes()
 
 
 def test_odd_map_has_exact_half_turn_symmetry():

@@ -13,7 +13,6 @@ from mcmlike.surgery import (
     EmptyPoleSet,
     NoSlack,
     ThresholdViolation,
-    check_non_recurrence,
     compute_M,
     compute_alpha_beta,
     modulus_same_domain,
@@ -145,14 +144,12 @@ def test_r_star_brackets_the_plan():
     rstar = r_threshold(sc)
     plan = plan_levels(sc, rstar / 2.0)
     assert plan.point_i and plan.point_ii and plan.point_iii
-    assert check_non_recurrence(plan, sc)
     assert plan.r_threshold == rstar
     assert 2.0 * rstar < 1.0
     with pytest.raises(ThresholdViolation):
         plan_levels(sc, 2.0 * rstar)
     loose = plan_levels(sc, 2.0 * rstar, strict=False)
     assert loose.point_i and not loose.point_iii
-    assert not check_non_recurrence(loose, sc)
 
 
 def test_level_ordering_and_values():
