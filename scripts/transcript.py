@@ -12,7 +12,9 @@ The rows: check/eig/classify/plan on every fixture; verify on every family
 at its own lambda and at the 61 factors 10**(-2 + 3j/60) of it; typecmp on
 every ordered pair of polynomial fixtures; skew at depths 5 and 12 with
 the default horizon, and at every depth 2..20 with every horizon 0..depth-1;
-and render --text --diagnostics at 128x128 on every polynomial fixture;
+and render --text --diagnostics at 128x128 on every polynomial fixture, as
+it is, at --max-iter 24 (Undecided pixels reach the cap) and at
+--escape-radius 1e6;
 ``--only <subcommand>`` keeps that subcommand's rows alone.  Runs
 happen in process, in a scratch directory holding a copy of the fixtures,
 so paths in the output do not depend on the checkout.  Standard library
@@ -70,11 +72,12 @@ def rows(fixtures):
     for depth in range(2, 21):
         for horizon in range(depth):
             yield ["skew", "--depth", str(depth), "--horizon", str(horizon)]
-    for n in polys:
-        yield [
-            "render", fx(n), "--out", OUTPUTS[0], "--text", OUTPUTS[1],
-            "--width", "128", "--height", "128", "--diagnostics",
-        ]
+    for extra in ([], ["--max-iter", "24"], ["--escape-radius", "1e6"]):
+        for n in polys:
+            yield [
+                "render", fx(n), "--out", OUTPUTS[0], "--text", OUTPUTS[1],
+                "--width", "128", "--height", "128", "--diagnostics", *extra,
+            ]
 
 
 def sha(data):

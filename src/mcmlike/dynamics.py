@@ -282,11 +282,13 @@ def auto_radius(f: MapLike) -> float:
 
 
 def checked_escape_radius(f: MapLike, escape_radius: Optional[float]) -> float:
-    """The given escape radius, or auto_radius(f) for None.  A radius below
-    auto_radius(f) raises ValueError: orbits may come back from beyond it."""
+    """The given escape radius, or auto_radius(f) for None.  A non-finite radius
+    raises ValueError, as does one below auto_radius(f): orbits may come back."""
     rauto = auto_radius(f)
     if escape_radius is None:
         return rauto
+    if not math.isfinite(escape_radius):
+        raise ValueError(f"escape_radius {escape_radius} must be finite")
     if escape_radius < rauto:
         raise ValueError(f"escape_radius {escape_radius} below auto radius {rauto}")
     return escape_radius

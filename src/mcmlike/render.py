@@ -5,7 +5,8 @@ collision semantics as ``dynamics.iterate_orbit``: Escaped(k) at the first
 iterate beyond the escape radius (index 0 for seeds already outside, with
 pole collisions surfacing as non-finite iterates), Basin(id, phase) on
 capture within capture_tol of a supplied attractor point, Undecided at
-max_iter.
+max_iter.  Only the seeds still open are iterated, and one comparison
+|z| <= radius per iterate tells escapes from the rest.
 
 Output formats: binary PPM (P6) with a frozen palette, and a plain text
 matrix of class tags (``E<k>``, ``B<id>.<phase>``, ``U``).
@@ -54,8 +55,8 @@ class RenderSpec:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise ValueError("width and height must be >= 1")
-        if self.half_width <= 0:
-            raise ValueError("half_width must be positive")
+        if not 0 < self.half_width < math.inf:
+            raise ValueError("half_width must be positive and finite")
 
     @property
     def pitch(self) -> float:
@@ -113,21 +114,20 @@ def classify_points(
     capture_tol: float = 1e-6,
 ):
     """Classify a flat complex array of seeds; the common vector core.
-    An escape radius below auto_radius(f) raises ValueError."""
+    After step 0 only the open seeds are iterated, kept while |f(z)| <= radius.
+    A non-finite iterate (pole collision) fails that one test, so a non-finite
+    radius, like one below auto_radius(f), raises ValueError."""
     import numpy as np
 
     radius = checked_escape_radius(f, escape_radius)
-    z = np.array(pts, dtype=np.complex128).ravel().copy()
+    z = np.array(pts, dtype=np.complex128).ravel()
     npts = z.size
     kind = np.zeros(npts, dtype=np.uint8)
     iters = np.zeros(npts, dtype=np.int32)
     bid = np.full(npts, -1, dtype=np.int16)
     bph = np.full(npts, -1, dtype=np.int16)
-    apts = []
-    if attractors:
-        for aid, (points, _period) in enumerate(attractors):
-            for ph, p in enumerate(points):
-                apts.append((aid, ph, complex(p)))
+    apts = [(aid, ph, complex(p)) for aid, (points, _period) in enumerate(attractors or ())
+            for ph, p in enumerate(points)]
 
     out0 = np.abs(z) > radius
     kind[out0] = KIND_ESCAPED
@@ -139,31 +139,27 @@ def classify_points(
         bph[cap] = ph
         active &= ~cap
 
+    idx = np.nonzero(active)[0]
+    z = z[idx]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k in range(1, max_iter + 1):
-            idx = np.nonzero(active)[0]
             if idx.size == 0:
                 break
-            w = eval_unchecked(f, z[idx])
-            finite = np.isfinite(w.real) & np.isfinite(w.imag)
-            esc = ~finite | (np.abs(np.where(finite, w, 0)) > radius)
-            esc_idx = idx[esc]
-            kind[esc_idx] = KIND_ESCAPED
-            iters[esc_idx] = k
-            rem = idx[~esc]
-            wr = w[~esc]
-            z[rem] = wr
-            active[esc_idx] = False
-            if apts:
-                open_rem = np.ones(rem.size, dtype=bool)
-                for aid, ph, p in apts:
-                    cap = open_rem & (np.abs(wr - p) <= capture_tol)
-                    ci = rem[cap]
-                    kind[ci] = KIND_BASIN
-                    bid[ci] = aid
-                    bph[ci] = ph
-                    active[ci] = False
-                    open_rem &= ~cap
+            z = eval_unchecked(f, z)
+            live = np.abs(z) <= radius
+            esc = idx[~live]
+            kind[esc] = KIND_ESCAPED
+            iters[esc] = k
+            for aid, ph, p in apts:
+                cap = live & (np.abs(z - p) <= capture_tol)
+                ci = idx[cap]
+                kind[ci] = KIND_BASIN
+                bid[ci] = aid
+                bph[ci] = ph
+                live &= ~cap
+            if not live.all():
+                idx = idx[live]
+                z = z[live]
     return kind, iters, bid, bph
 
 
@@ -256,22 +252,17 @@ def rotational_symmetry_score(grid: ClassGrid, m: int) -> float:
 
 
 def grid_to_rgb(grid: ClassGrid) -> np.ndarray:
-    """(h, w, 3) uint8 image per the frozen palette."""
+    """(h, w, 3) uint8 image per the frozen palette, by one lookup into a
+    table of Undecided (black), Escaped(k) for k = 0..32 (the shade
+    255 - min(8k, 255) is 0 from k = 32 on) and the eight basin colours."""
     import numpy as np
 
-    h, w = grid.kind.shape
-    rgb = np.zeros((h, w, 3), dtype=np.uint8)
-    esc = grid.kind == KIND_ESCAPED
-    val = (255 - np.minimum(8 * grid.iters.astype(np.int64), 255)).astype(np.uint8)
-    rgb[esc, 0] = val[esc]
-    rgb[esc, 1] = val[esc]
-    rgb[esc, 2] = 255
-    bas = grid.kind == KIND_BASIN
-    if bas.any():
-        pal = np.array(PALETTE8, dtype=np.uint8)
-        idx = (2 * grid.basin_id.astype(np.int64) + grid.basin_phase.astype(np.int64)) % 8
-        rgb[bas] = pal[idx[bas]]
-    return rgb
+    shades = [255 - min(8 * k, 255) for k in range(33)]
+    table = np.array([(0, 0, 0)] + [(v, v, 255) for v in shades] + list(PALETTE8), dtype=np.uint8)
+    shade = 1 + np.minimum(grid.iters, 32)
+    basin = 34 + ((2 * grid.basin_id.astype(np.int32) + grid.basin_phase) & 7)  # & 7 is % 8
+    row = np.where(grid.kind == KIND_ESCAPED, shade, np.where(grid.kind == KIND_BASIN, basin, 0))
+    return table.take(row, axis=0)
 
 
 def write_ppm(grid: ClassGrid, path: str) -> None:
@@ -287,8 +278,15 @@ def write_ppm(grid: ClassGrid, path: str) -> None:
 
 
 def grid_to_text(grid: ClassGrid) -> str:
-    """Plain text export: one row per line, comma-separated class tags."""
-    lines = []
-    for iy in range(grid.height):
-        lines.append(",".join(grid.tag(ix, iy) for ix in range(grid.width)))
-    return "\n".join(lines) + "\n"
+    """Plain text export: one row per line, comma-separated class tags.
+    ``ClassGrid.tag`` formats each distinct label once, on one of its pixels."""
+    import numpy as np
+
+    # One key per label: 4k + 1 for Escaped(k), 4(id << 16 | phase) + 2 for a basin.
+    key = np.where(grid.kind == KIND_ESCAPED, 4 * grid.iters.astype(np.int64) + 1, 0)
+    pair = (grid.basin_id.astype(np.int64) << 16) | (grid.basin_phase.astype(np.int64) & 0xFFFF)
+    key = np.where(grid.kind == KIND_BASIN, 4 * pair + 2, key).ravel()
+    _, first, label = np.unique(key, return_index=True, return_inverse=True)
+    tags = np.array([grid.tag(i % grid.width, i // grid.width) for i in first], dtype=object)
+    rows = tags[label].reshape(grid.height, grid.width)
+    return "".join(",".join(row) + "\n" for row in rows.tolist())

@@ -333,6 +333,34 @@ def test_render_rejects_small_escape_radius(run, tmp_path):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("radius", ["nan", "inf"])
+def test_render_rejects_non_finite_escape_radius(run, tmp_path, radius):
+    # Iterates compare against the radius once per step; with nan or inf
+    # pixels would "escape" only when their iterates overflow.
+    out_path = tmp_path / "f.ppm"
+    code, out, err = run(
+        "render", fx("f_cubic"),
+        "--out", str(out_path), "--width", "16", "--height", "16",
+        "--escape-radius", radius,
+    )
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: escape_radius {radius} must be finite")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("half_width", ["nan", "inf"])
+def test_render_rejects_non_finite_half_width(run, tmp_path, half_width):
+    out_path = tmp_path / "f.ppm"
+    code, out, err = run(
+        "render", fx("f_cubic"),
+        "--out", str(out_path), "--width", "16", "--height", "16",
+        "--half-width", half_width,
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: half_width must be positive and finite")
+    assert not out_path.exists()
+
+
 def test_render_unwritable_path(run, tmp_path):
     code, _, err = run(
         "render", fx("z3_d3"),

@@ -5,7 +5,15 @@ import random
 import numpy as np
 import pytest
 
-from mcmlike.dynamics import ComplexPoly, PoleHit, auto_radius, eval_map
+from mcmlike.cli import _render_attractors
+from mcmlike.dynamics import (
+    ComplexPoly,
+    PoleHit,
+    auto_radius,
+    checked_escape_radius,
+    eval_map,
+    eval_unchecked,
+)
 from mcmlike.model_io import load_model
 from mcmlike.render import (
     KIND_BASIN,
@@ -20,6 +28,7 @@ from mcmlike.render import (
     grid_to_text,
     radial_profile,
     rotational_symmetry_score,
+    _seeds,
     write_ppm,
 )
 
@@ -237,3 +246,188 @@ def test_render_spec_validation():
         RenderSpec(map=SQUARE, width=8, height=0)
     with pytest.raises(ValueError):
         RenderSpec(map=SQUARE, width=8, height=8, half_width=0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            RenderSpec(map=SQUARE, width=8, height=8, half_width=bad)
+
+
+def test_classify_points_rejects_non_finite_escape_radius():
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="must be finite"):
+            classify_points(SQUARE, np.array([0.5 + 0j]), max_iter=4, escape_radius=bad)
+
+
+# ---------------------------------------------------------------------------
+# References: a loop over a full-size active mask, and colouring by one
+# masked assignment per class.  They do the arithmetic of classify_points and
+# grid_to_rgb in the same order, so the outputs must be equal element for
+# element.
+
+
+def _masked_reference(f, pts, max_iter, escape_radius=None, attractors=None, capture_tol=1e-6):
+    """classify_points as a loop over a full-size active mask."""
+    radius = checked_escape_radius(f, escape_radius)
+    z = np.array(pts, dtype=np.complex128).ravel().copy()
+    npts = z.size
+    kind = np.zeros(npts, dtype=np.uint8)
+    iters = np.zeros(npts, dtype=np.int32)
+    bid = np.full(npts, -1, dtype=np.int16)
+    bph = np.full(npts, -1, dtype=np.int16)
+    apts = []
+    if attractors:
+        for aid, (points, _period) in enumerate(attractors):
+            for ph, p in enumerate(points):
+                apts.append((aid, ph, complex(p)))
+
+    out0 = np.abs(z) > radius
+    kind[out0] = KIND_ESCAPED
+    active = ~out0
+    for aid, ph, p in apts:
+        cap = active & (np.abs(z - p) <= capture_tol)
+        kind[cap] = KIND_BASIN
+        bid[cap] = aid
+        bph[cap] = ph
+        active &= ~cap
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(1, max_iter + 1):
+            idx = np.nonzero(active)[0]
+            if idx.size == 0:
+                break
+            w = eval_unchecked(f, z[idx])
+            finite = np.isfinite(w.real) & np.isfinite(w.imag)
+            esc = ~finite | (np.abs(np.where(finite, w, 0)) > radius)
+            esc_idx = idx[esc]
+            kind[esc_idx] = KIND_ESCAPED
+            iters[esc_idx] = k
+            rem = idx[~esc]
+            wr = w[~esc]
+            z[rem] = wr
+            active[esc_idx] = False
+            if apts:
+                open_rem = np.ones(rem.size, dtype=bool)
+                for aid, ph, p in apts:
+                    cap = open_rem & (np.abs(wr - p) <= capture_tol)
+                    ci = rem[cap]
+                    kind[ci] = KIND_BASIN
+                    bid[ci] = aid
+                    bph[ci] = ph
+                    active[ci] = False
+                    open_rem &= ~cap
+    return kind, iters, bid, bph
+
+
+def _masked_rgb(grid):
+    """grid_to_rgb as masked assignments per class."""
+    h, w = grid.kind.shape
+    rgb = np.zeros((h, w, 3), dtype=np.uint8)
+    esc = grid.kind == KIND_ESCAPED
+    val = (255 - np.minimum(8 * grid.iters.astype(np.int64), 255)).astype(np.uint8)
+    rgb[esc, 0] = val[esc]
+    rgb[esc, 1] = val[esc]
+    rgb[esc, 2] = 255
+    bas = grid.kind == KIND_BASIN
+    if bas.any():
+        pal = np.array(PALETTE8, dtype=np.uint8)
+        idx = (2 * grid.basin_id.astype(np.int64) + grid.basin_phase.astype(np.int64)) % 8
+        rgb[bas] = pal[idx[bas]]
+    return rgb
+
+
+def assert_matches_reference(f, pts, max_iter, **kw):
+    got = classify_points(f, pts, max_iter, **kw)
+    want = _masked_reference(f, pts, max_iter, **kw)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
+    return got
+
+
+@pytest.mark.parametrize(
+    "name, n_attractors", [("r_milnor", 1), ("q_family", 0)]  # untouched cycles that persist
+)
+def test_classify_points_matches_reference_on_family(name, n_attractors):
+    mf = load_model(FIXTURES / f"{name}.json")
+    f = mf.build_map()
+    attractors, _ = _render_attractors(mf, f)
+    assert len(attractors) == n_attractors
+    spec = RenderSpec(map=f, width=64, height=64, attractors=attractors)
+    kind, _, _, _ = assert_matches_reference(
+        f, _seeds(spec), spec.max_iter, attractors=attractors, capture_tol=spec.capture_tol
+    )
+    assert (KIND_BASIN in kind) == bool(attractors)
+
+
+def test_classify_points_reference_edge_seeds():
+    f = f_map()
+    radius = auto_radius(f)
+    pts = np.array([0j, 2 * radius + 0j, -radius * 1j * 1.5, 0.9 + 0.1j])
+    kind, iters, _, _ = assert_matches_reference(f, pts, 16)
+    # On the pole, f(0) is not finite: Escaped(1).  Beyond the radius: Escaped(0).
+    assert kind[0] == KIND_ESCAPED and iters[0] == 1
+    assert kind[1] == KIND_ESCAPED and iters[1] == 0
+    assert kind[2] == KIND_ESCAPED and iters[2] == 0
+
+
+def test_classify_points_reference_captures():
+    # A seed on an attractor point is a step-0 Basin; 0.5 -> 0.25 lands within
+    # capture_tol of two listed points, and the first listed wins.
+    attractors = [((0.25 + 3e-7,), 1), ((0.25 - 3e-7,), 1), ((0.9 + 0j, 0.81 + 0j), 2)]
+    pts = np.array([0.9 + 0j, 0.5 + 0j, 0.81 + 0j, 0.25 + 0j])
+    kind, iters, bid, bph = assert_matches_reference(
+        SQUARE, pts, 8, attractors=attractors, capture_tol=1e-6
+    )
+    assert list(kind) == [KIND_BASIN] * 4
+    assert list(iters) == [0] * 4
+    assert list(bid) == [2, 0, 2, 0]
+    assert list(bph) == [0, 0, 1, 0]
+
+
+def test_classify_points_reference_undecided_at_cap():
+    f = f_map()
+    spec = RenderSpec(map=f, width=32, height=32, max_iter=3)
+    kind, _, _, _ = assert_matches_reference(f, _seeds(spec), spec.max_iter)
+    assert np.count_nonzero(kind == KIND_UNDECIDED) > 0
+    assert np.count_nonzero(kind == KIND_ESCAPED) > 0
+
+
+def _label_grid():
+    """One row: Undecided, Escaped(0..40), then Basin(id, phase) for ids 0..5
+    at both phases.  The escape indices cross the shade clamp at 32 and the
+    basins wrap the eight-entry palette."""
+    n_esc, basins = 41, [(i, ph) for i in range(6) for ph in (0, 1)]
+    n = 1 + n_esc + len(basins)
+    kind = np.zeros((1, n), dtype=np.uint8)
+    iters = np.zeros((1, n), dtype=np.int32)
+    bid = np.full((1, n), -1, dtype=np.int16)
+    bph = np.full((1, n), -1, dtype=np.int16)
+    kind[0, 1 : 1 + n_esc] = KIND_ESCAPED
+    iters[0, 1 : 1 + n_esc] = np.arange(n_esc)
+    kind[0, 1 + n_esc :] = KIND_BASIN
+    bid[0, 1 + n_esc :] = [i for i, _ in basins]
+    bph[0, 1 + n_esc :] = [ph for _, ph in basins]
+    return ClassGrid(
+        width=n, height=1, center=0j, pitch=1.0,
+        kind=kind, iters=iters, basin_id=bid, basin_phase=bph,
+    )
+
+
+def test_grid_to_rgb_matches_masked_colouring():
+    grid = _label_grid()
+    got = grid_to_rgb(grid)
+    assert got.dtype == np.uint8 and got.shape == (1, grid.width, 3)
+    assert np.array_equal(got, _masked_rgb(grid))
+
+
+def test_grid_to_text_tags_every_label():
+    grid = _label_grid()
+    tags = ["U"] + [f"E{k}" for k in range(41)]
+    tags += [f"B{i}.{ph}" for i in range(6) for ph in (0, 1)]
+    assert grid_to_text(grid) == ",".join(tags) + "\n"
+    grid.kind[0, 0] = 7  # not a class: read as Undecided
+    two_rows = ClassGrid(
+        width=2, height=2, center=0j, pitch=1.0, kind=grid.kind[:, :4].reshape(2, 2),
+        iters=grid.iters[:, :4].reshape(2, 2), basin_id=grid.basin_id[:, :4].reshape(2, 2),
+        basin_phase=grid.basin_phase[:, :4].reshape(2, 2),
+    )
+    assert grid_to_text(two_rows) == "U,E0\nE1,E2\n"
