@@ -14,7 +14,8 @@ every ordered pair of polynomial fixtures; skew at depths 5 and 12 with
 the default horizon, and at every depth 2..20 with every horizon 0..depth-1;
 and render --text --diagnostics at 128x128 on every polynomial fixture, as
 it is, at --max-iter 24 (Undecided pixels reach the cap) and at
---escape-radius 1e6;
+--escape-radius 1e6; then render of f_cubic at 16x16 with --center nan
+and with --center infj, which exit 2 and write nothing;
 ``--only <subcommand>`` keeps that subcommand's rows alone.  Runs
 happen in process, in a scratch directory holding a copy of the fixtures,
 so paths in the output do not depend on the checkout.  Standard library
@@ -78,6 +79,9 @@ def rows(fixtures):
                 "render", fx(n), "--out", OUTPUTS[0], "--text", OUTPUTS[1],
                 "--width", "128", "--height", "128", "--diagnostics", *extra,
             ]
+    for center in ("nan", "infj"):
+        yield ["render", fx("f_cubic"), "--out", OUTPUTS[0], "--width", "16", "--height", "16",
+               "--center", center]
 
 
 def sha(data):

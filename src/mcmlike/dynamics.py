@@ -76,11 +76,31 @@ class ComplexPoly:
         return p
 
     def eval(self, z):
-        """Horner from the leading coefficient; z may be a complex ndarray."""
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * z + c
-        return acc
+        """Horner from the leading coefficient; z may be a complex ndarray.
+
+        Exact identity operations are skipped: a leading coefficient 1 starts
+        from z instead of 1 * z, and a zero coefficient adds nothing.  For
+        finite operands x * 1 = x and x + 0 = x up to the sign of a zero, so
+        every remaining product and sum rounds as in the full scheme.  Arrays
+        this call made are updated in place (the same ufunc, the same bits);
+        z itself is never written to nor returned.
+        """
+        lead, *lower = reversed(self.coeffs)
+        if not lower:
+            return lead
+        acc = z if lead == 1 else lead * z
+        for k, c in enumerate(lower):
+            if k:
+                if acc is z:
+                    acc = acc * z
+                else:
+                    acc *= z
+            if c != 0:
+                if acc is z:
+                    acc = acc + c
+                else:
+                    acc += c
+        return acc * lead if acc is z else acc
 
     def derivative(self) -> "ComplexPoly":
         if self.degree == 0:
@@ -171,17 +191,31 @@ def eval_unchecked(f: MapLike, z):
     is built one factor (z - a) at a time, so the scalar and the array
     results differ only in how Python and numpy round complex products and
     quotients.
+
+    The base is ``ComplexPoly.eval``, which skips 1 * z and + 0.  A pole at
+    a = 0 uses z itself, not z - 0, and a denominator starts from its first
+    factor, not from 1 * (z - a).  For finite operands these identities hold
+    up to the sign of a zero, so finite results have the values of the full
+    scheme and non-finite ones stay non-finite.  Arrays this call made are
+    updated in place (``*=``, ``+=``: the same ufunc, the same bits); on a
+    Python complex that is a rebinding.  z itself is never written to nor
+    returned.
     """
     if isinstance(f, ComplexPoly):
         return f.eval(z)
     val = f.base.eval(z)
     for c, factors in f.terms:
-        den = 1
+        den = None
         for a, d in factors:
-            w = z - a
+            w = z - a if a != 0 else z
             for _ in range(d):
-                den = den * w
-        val = val + c / den
+                if den is None:
+                    den = w
+                elif den is w or den is z:
+                    den = den * w
+                else:
+                    den *= w
+        val += c if den is None else c / den
     return val
 
 

@@ -57,6 +57,9 @@ class RenderSpec:
             raise ValueError("width and height must be >= 1")
         if not 0 < self.half_width < math.inf:
             raise ValueError("half_width must be positive and finite")
+        center = complex(self.center)
+        if not (math.isfinite(center.real) and math.isfinite(center.imag)):
+            raise ValueError(f"center {self.center} must be finite")
 
     @property
     def pitch(self) -> float:
@@ -116,7 +119,11 @@ def classify_points(
     """Classify a flat complex array of seeds; the common vector core.
     After step 0 only the open seeds are iterated, kept while |f(z)| <= radius.
     A non-finite iterate (pole collision) fails that one test, so a non-finite
-    radius, like one below auto_radius(f), raises ValueError."""
+    radius, like one below auto_radius(f), raises ValueError.  A step indexes
+    and writes escapes only if some seed failed the test, and captures only
+    for an attractor point that caught a seed; the open seeds are compressed
+    only on steps where one left, so a step where none leaves costs one
+    evaluation and the comparisons."""
     import numpy as np
 
     radius = checked_escape_radius(f, escape_radius)
@@ -147,17 +154,21 @@ def classify_points(
                 break
             z = eval_unchecked(f, z)
             live = np.abs(z) <= radius
-            esc = idx[~live]
-            kind[esc] = KIND_ESCAPED
-            iters[esc] = k
+            kept = live.all()
+            if not kept:
+                esc = idx[~live]
+                kind[esc] = KIND_ESCAPED
+                iters[esc] = k
             for aid, ph, p in apts:
                 cap = live & (np.abs(z - p) <= capture_tol)
-                ci = idx[cap]
-                kind[ci] = KIND_BASIN
-                bid[ci] = aid
-                bph[ci] = ph
-                live &= ~cap
-            if not live.all():
+                if cap.any():
+                    ci = idx[cap]
+                    kind[ci] = KIND_BASIN
+                    bid[ci] = aid
+                    bph[ci] = ph
+                    live &= ~cap
+                    kept = False
+            if not kept:
                 idx = idx[live]
                 z = z[live]
     return kind, iters, bid, bph

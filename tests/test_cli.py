@@ -361,6 +361,20 @@ def test_render_rejects_non_finite_half_width(run, tmp_path, half_width):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("center", ["nan", "infj"])
+def test_render_rejects_non_finite_center(run, tmp_path, center):
+    # A nan center made every seed nan (all E1); an infinite one all E0.
+    out_path = tmp_path / "f.ppm"
+    code, out, err = run(
+        "render", fx("f_cubic"),
+        "--out", str(out_path), "--width", "16", "--height", "16",
+        "--center", center,
+    )
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: center {complex(center)} must be finite")
+    assert not out_path.exists()
+
+
 def test_render_unwritable_path(run, tmp_path):
     code, _, err = run(
         "render", fx("z3_d3"),

@@ -1,5 +1,6 @@
 """Polynomials, rational perturbations, root finding, and orbit iteration."""
 
+import cmath
 import math
 import random
 
@@ -167,6 +168,89 @@ def assert_array_matches_scalar(f, zs):
     for zk, gk in zip(zs, got):
         want = eval_map(f, complex(zk))
         assert abs(gk - want) <= 1e-12 * abs(want)
+
+
+# ---------------------------------------------------------------------------
+# eval_unchecked against the dense evaluator, which runs every identity
+# operation (1 * z, + 0, z - 0, den = 1 * w) into a fresh value.
+
+
+def _dense_reference(f, z):
+    """eval_unchecked and ComplexPoly.eval as they were before identity
+    operations were skipped."""
+    if isinstance(f, ComplexPoly):
+        acc = f.coeffs[-1]
+        for c in reversed(f.coeffs[:-1]):
+            acc = acc * z + c
+        return acc
+    val = _dense_reference(f.base, z)
+    for c, factors in f.terms:
+        den = 1
+        for a, d in factors:
+            w = z - a
+            for _ in range(d):
+                den = den * w
+        val = val + c / den
+    return val
+
+
+def _reference_maps():
+    maps = [
+        ComplexPoly([0, 1]),  # z itself: the result must still be a new value
+        ComplexPoly([0.3 - 0.2j, -1.5, 0, 2.5 + 1j]),  # non-monic, nonzero constant
+        simple_poles_map(Q, [(0.5 - 0.25j, 3, 1e-3 + 2e-3j)]),  # off-origin triple pole
+    ]
+    for path in sorted(FIXTURES.glob("*.json")):
+        mf = load_model(path)
+        if mf.polynomial is None:
+            continue
+        maps.append(mf.polynomial)
+        if mf.family is not None:
+            f = mf.build_map()
+            maps += [f, mf.build_map(lambda_override=f.terms[0][0] * 4)]
+    return maps
+
+
+def _reference_seeds(f):
+    zero = [0.0, -0.0]
+    seeds = [complex(x, y) for x in zero for y in zero]
+    seeds += [complex(x, y) for x in zero for y in (1.0, -0.5)]
+    seeds += [complex(x, y) for x in (0.75, -1.0) for y in zero]
+    seeds += [a + complex(x, y) for a, _ in pole_orders(f) for x in zero for y in zero]
+    for m in (1e-310, 1e-160, 1e-100, 1e100, 1e155, 1e200, 1e300):
+        seeds += [complex(m, 0.0), complex(-0.0, m), m * (0.6 - 0.8j)]
+    rng = random.Random(13)
+    seeds += [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(40)]
+    return seeds + [complex("nan"), complex("inf"), complex(0, float("-inf"))]
+
+
+def test_eval_unchecked_matches_dense_reference():
+    # Skipped identities change at most the sign of a zero: finite results
+    # compare equal and the same entries are non-finite.
+    for f in _reference_maps():
+        seeds = _reference_seeds(f)
+        arr = np.array(seeds)
+        before = arr.copy()
+        with np.errstate(all="ignore"):
+            got, want = eval_unchecked(f, arr), _dense_reference(f, arr)
+        assert got is not arr and not np.shares_memory(got, arr)
+        assert arr.tobytes() == before.tobytes()
+        finite = np.isfinite(got)
+        assert np.array_equal(finite, np.isfinite(want))
+        assert np.array_equal(got[finite], want[finite])
+        for z in seeds:
+            try:
+                want = _dense_reference(f, z)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    eval_unchecked(f, z)
+                continue
+            got = eval_unchecked(f, z)
+            assert got is not z
+            if cmath.isfinite(want):
+                assert got == want
+            else:
+                assert not cmath.isfinite(got)
 
 
 def test_eval_map_derivative_matches_finite_difference():

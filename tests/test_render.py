@@ -1,5 +1,6 @@
 """Grid classification, PPM export, and diagnostic profiles."""
 
+import math
 import random
 
 import numpy as np
@@ -249,6 +250,9 @@ def test_render_spec_validation():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite"):
             RenderSpec(map=SQUARE, width=8, height=8, half_width=bad)
+    for bad in (complex("nan"), complex("infj"), complex(1, float("nan")), float("-inf")):
+        with pytest.raises(ValueError, match="center .* must be finite"):
+            RenderSpec(map=SQUARE, width=8, height=8, center=bad)
 
 
 def test_classify_points_rejects_non_finite_escape_radius():
@@ -344,11 +348,22 @@ def assert_matches_reference(f, pts, max_iter, **kw):
 
 
 @pytest.mark.parametrize(
-    "name, n_attractors", [("r_milnor", 1), ("q_family", 0)]  # untouched cycles that persist
+    "name, n_attractors, lambda_scale",
+    [
+        # r_milnor and q_family: untouched cycles that persist.
+        pytest.param("r_milnor", 1, 1, id="r_milnor-1"),
+        pytest.param("q_family", 0, 1, id="q_family-0"),
+        # f_cubic at 4 lambda: seeds on the axes stay open to max_iter, so
+        # most steps lose no seed.  h_multipole: one term over two factors.
+        pytest.param("f_cubic", 0, 4, id="f_cubic-0-lambda4"),
+        pytest.param("h_multipole", 0, 1, id="h_multipole-0"),
+    ],
 )
-def test_classify_points_matches_reference_on_family(name, n_attractors):
+def test_classify_points_matches_reference_on_family(name, n_attractors, lambda_scale):
     mf = load_model(FIXTURES / f"{name}.json")
     f = mf.build_map()
+    if lambda_scale != 1:
+        f = mf.build_map(lambda_override=f.terms[0][0] * lambda_scale)
     attractors, _ = _render_attractors(mf, f)
     assert len(attractors) == n_attractors
     spec = RenderSpec(map=f, width=64, height=64, attractors=attractors)
@@ -381,6 +396,17 @@ def test_classify_points_reference_captures():
     assert list(iters) == [0] * 4
     assert list(bid) == [2, 0, 2, 0]
     assert list(bph) == [0, 0, 1, 0]
+
+
+def test_classify_points_reference_capture_without_escapes():
+    # sqrt(1.5) is captured at 1.5 on step 1, where no seed escapes; its
+    # orbit would escape on step 2, so a captured seed left open reads E2.
+    pts = np.array([math.sqrt(1.5) + 0j, 0.5 + 0j])
+    kind, iters, bid, _ = assert_matches_reference(
+        SQUARE, pts, 8, attractors=[((1.5 + 0j,), 1)], capture_tol=1e-6
+    )
+    assert list(kind) == [KIND_BASIN, KIND_UNDECIDED]
+    assert list(iters) == [0, 0] and list(bid) == [0, -1]
 
 
 def test_classify_points_reference_undecided_at_cap():
