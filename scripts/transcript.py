@@ -15,7 +15,9 @@ the default horizon, and at every depth 2..20 with every horizon 0..depth-1;
 and render --text --diagnostics at 128x128 on every polynomial fixture, as
 it is, at --max-iter 24 (Undecided pixels reach the cap) and at
 --escape-radius 1e6; then render of f_cubic at 16x16 with --center nan
-and with --center infj, which exit 2 and write nothing;
+and with --center infj, which exit 2 and write nothing; then render --text
+of r_milnor and f_cubic at 65x63 with --center 0.1 and --center 0.1j (one
+mirrored axis, odd sizes);
 ``--only <subcommand>`` keeps that subcommand's rows alone.  Runs
 happen in process, in a scratch directory holding a copy of the fixtures,
 so paths in the output do not depend on the checkout.  Standard library
@@ -82,6 +84,10 @@ def rows(fixtures):
     for center in ("nan", "infj"):
         yield ["render", fx("f_cubic"), "--out", OUTPUTS[0], "--width", "16", "--height", "16",
                "--center", center]
+    for n in ("r_milnor", "f_cubic"):
+        for center in ("0.1", "0.1j"):
+            yield ["render", fx(n), "--out", OUTPUTS[0], "--text", OUTPUTS[1],
+                   "--width", "65", "--height", "63", "--center", center]
 
 
 def sha(data):

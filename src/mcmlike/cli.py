@@ -34,6 +34,8 @@ from .model import (
 from .model_io import ModelFile, load_model
 from .render import (
     RenderSpec,
+    check_ray,
+    check_symmetry_order,
     classify_grid,
     grid_to_text,
     radial_profile,
@@ -301,6 +303,9 @@ def cmd_render(args) -> int:
         attractors=attractors,
         capture_tol=float(mf.params.get("captureTol", 1e-6)),
     )
+    if args.diagnostics:
+        check_symmetry_order(args.symmetry_order)
+        check_ray(args.ray_rmin, args.ray_rmax, args.ray_samples)
     grid = classify_grid(spec)
     write_ppm(grid, args.out)
     print(f"wrote {args.out} ({os.path.getsize(args.out)} bytes)")

@@ -178,6 +178,37 @@ def pole_orders(f: MapLike) -> List[PoleFactor]:
     return [pole for _, factors in f.terms for pole in factors]
 
 
+def fixed_by_reflection(z: complex, sign: int) -> bool:
+    """Whether r(z) = sign * conj(z) fixes z, decided on exact parts: z is
+    real for sign 1 and imaginary for sign -1 (a -0.0 part counts as zero)."""
+    z = complex(z)
+    return z.imag == 0 if sign == 1 else z.real == 0
+
+
+def reflections(f: MapLike) -> Tuple[int, ...]:
+    """The signs s of the reflections r(z) = s * conj(z) with f(r(z)) = r(f(z)).
+
+    Sign 1 is z -> conj(z), sign -1 is z -> -conj(z).  Decided from exact
+    coefficient parts: r commutes with f when every base coefficient c_k
+    satisfies c_k = s^(k+1) conj(c_k), every pole location a satisfies
+    a = s conj(a), and every term coefficient c of total order D satisfies
+    c = s^(D+1) conj(c).  For sign 1 everything is real; for sign -1, c_k is
+    real for odd k and imaginary for even k, poles are imaginary and a term
+    coefficient is real for odd D and imaginary for even D.
+    """
+    base, terms = (f, ()) if isinstance(f, ComplexPoly) else (f.base, f.terms)
+    return tuple(
+        s
+        for s in (1, -1)
+        if all(fixed_by_reflection(c, s ** (k + 1)) for k, c in enumerate(base.coeffs))
+        and all(
+            fixed_by_reflection(c, s ** (sum(d for _, d in factors) + 1))
+            and all(fixed_by_reflection(a, s) for a, _ in factors)
+            for c, factors in terms
+        )
+    )
+
+
 def _check_poles(f: MapLike, z: complex) -> None:
     for k, (a, _) in enumerate(pole_orders(f)):
         if abs(z - a) <= POLE_COLLISION_RTOL * (1.0 + abs(a)):
@@ -302,7 +333,8 @@ def auto_radius(f: MapLike) -> float:
 
     max(2, 1 + sum |base coefficients| + sum |pole coefficients|), with a
     Cauchy-style term so that non-monic leading coefficients below 1 still
-    yield a genuine escape radius.
+    yield a genuine escape radius.  A non-finite coefficient gives the
+    non-finite sum of the magnitudes instead, which bounds nothing.
     """
     if isinstance(f, ComplexPoly):
         base, lam_sum = f, 0.0
@@ -310,6 +342,8 @@ def auto_radius(f: MapLike) -> float:
         base, lam_sum = f.base, sum(abs(c) for c, _ in f.terms)
     cs = base.coeffs
     total = sum(abs(c) for c in cs)
+    if not math.isfinite(total + lam_sum):
+        return total + lam_sum
     lead = abs(cs[-1])
     cauchy = 1.0 + (1.0 + (total - lead) + lam_sum) / lead if lead > 0 else 2.0
     return max(2.0, 1.0 + total + lam_sum, cauchy)
@@ -317,8 +351,12 @@ def auto_radius(f: MapLike) -> float:
 
 def checked_escape_radius(f: MapLike, escape_radius: Optional[float]) -> float:
     """The given escape radius, or auto_radius(f) for None.  A non-finite radius
-    raises ValueError, as does one below auto_radius(f): orbits may come back."""
+    raises ValueError, as does one below auto_radius(f): orbits may come back.
+    A map whose auto_radius is not finite (a non-finite coefficient) raises
+    ValueError whatever the radius."""
     rauto = auto_radius(f)
+    if not math.isfinite(rauto):
+        raise ValueError(f"auto radius {rauto} of the map is not finite")
     if escape_radius is None:
         return rauto
     if not math.isfinite(escape_radius):

@@ -8,6 +8,15 @@ capture within capture_tol of a supplied attractor point, Undecided at
 max_iter.  Only the seeds still open are iterated, and one comparison
 |z| <= radius per iterate tells escapes from the rest.
 
+A window is classified on the fundamental region of its exact axis
+reflections.  When z -> conj(z) (or z -> -conj(z)) commutes with the map,
+as ``dynamics.reflections`` decides from exact coefficient parts, and fixes
+the window's centre and every attractor point, the window's rows (or
+columns) come in mirror pairs and only one of each pair is classified; the
+other is copied.  The copies are exact, because round-to-nearest commutes
+with negation and numpy's complex arithmetic and abs are sign-equivariant,
+so a mirrored seed's orbit is the reflected orbit bit for bit.
+
 Output formats: binary PPM (P6) with a frozen palette, and a plain text
 matrix of class tags (``E<k>``, ``B<id>.<phase>``, ``U``).
 
@@ -21,7 +30,13 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .dynamics import MapLike, checked_escape_radius, eval_unchecked
+from .dynamics import (
+    MapLike,
+    checked_escape_radius,
+    eval_unchecked,
+    fixed_by_reflection,
+    reflections,
+)
 
 KIND_UNDECIDED = 0
 KIND_ESCAPED = 1
@@ -57,6 +72,8 @@ class RenderSpec:
             raise ValueError("width and height must be >= 1")
         if not 0 < self.half_width < math.inf:
             raise ValueError("half_width must be positive and finite")
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter {self.max_iter} must be >= 0")
         center = complex(self.center)
         if not (math.isfinite(center.real) and math.isfinite(center.imag)):
             raise ValueError(f"center {self.center} must be finite")
@@ -174,14 +191,15 @@ def classify_points(
     return kind, iters, bid, bph
 
 
-def _seeds(spec: RenderSpec) -> np.ndarray:
-    """(h, w) complex seeds of the window's pixels."""
+def _seeds(spec: RenderSpec, rows: Optional[int] = None, cols: Optional[int] = None) -> np.ndarray:
+    """(rows, cols) complex seeds of the window's first rows and columns;
+    (h, w) seeds of every pixel by default."""
     import numpy as np
 
     pitch = spec.pitch
     xs = spec.center.real + (np.arange(spec.width) - spec.width / 2) * pitch
     ys = spec.center.imag + (spec.height / 2 - np.arange(spec.height)) * pitch
-    return xs[None, :] + 1j * ys[:, None]
+    return xs[None, :cols] + 1j * ys[:rows, None]
 
 
 def _classify(spec: RenderSpec, seeds: np.ndarray):
@@ -191,14 +209,50 @@ def _classify(spec: RenderSpec, seeds: np.ndarray):
     )
 
 
+def _mirrored_axes(spec: RenderSpec) -> Tuple[bool, bool]:
+    """(rows, columns): whether the window's rows, and its columns, mirror.
+
+    A reflection r(z) = s * conj(z) of ``dynamics.reflections`` counts when it
+    fixes the window's centre and every attractor point exactly.  Sign 1
+    (z -> conj(z), centre.imag == 0) maps row iy onto row h - iy; sign -1
+    (z -> -conj(z), centre.real == 0) maps column ix onto column w - ix.
+    """
+    points = [spec.center] + [p for pts, _ in spec.attractors or () for p in pts]
+    signs = [s for s in reflections(spec.map) if all(fixed_by_reflection(p, s) for p in points)]
+    return 1 in signs, -1 in signs
+
+
 def classify_grid(spec: RenderSpec) -> ClassGrid:
     """Classify every pixel of the window.
 
     Pixel (ix, iy) samples center + ((ix - w/2) + i*(h/2 - iy)) * pitch, so
     power-of-two resolutions sample nested point sets exactly.
+
+    Mirror rule: when z -> conj(z) commutes with the map and fixes the centre
+    and every attractor point, row h - iy samples the conjugates of row iy's
+    seeds, so only rows 0..h//2 are classified and each row k > h//2 copies
+    row h - k (row 0 has no partner; even and odd h alike).  z -> -conj(z)
+    does the same for columns 0..w//2 when the centre's real part is 0;
+    with both, one quarter is classified.  The copies are exact: IEEE
+    round-to-nearest commutes with negation, and numpy's complex add,
+    multiply, division and hypot-based abs are sign-equivariant, so a
+    mirrored seed's orbit is the reflected orbit bit for bit up to the sign
+    of zeros, and every label reads only |z| and |z - p| for fixed p.
+    Without a reflection the same code classifies the whole window.
     """
-    shape = (spec.height, spec.width)
-    kind, iters, bid, bph = (a.reshape(shape) for a in _classify(spec, _seeds(spec)))
+    import numpy as np
+
+    h, w = spec.height, spec.width
+    mirror_rows, mirror_cols = _mirrored_axes(spec)
+    rows = h // 2 + 1 if mirror_rows else h
+    cols = w // 2 + 1 if mirror_cols else w
+    part = _classify(spec, _seeds(spec, rows, cols))
+    kind, iters, bid, bph = (np.empty((h, w), dtype=a.dtype) for a in part)
+    for full, a in zip((kind, iters, bid, bph), part):
+        a = a.reshape(rows, cols)
+        full[:rows, :cols] = a
+        full[:rows, cols:] = a[:, w - cols : 0 : -1]
+        full[rows:] = full[h - rows : 0 : -1]
     return ClassGrid(
         width=spec.width,
         height=spec.height,
@@ -212,16 +266,21 @@ def classify_grid(spec: RenderSpec) -> ClassGrid:
     )
 
 
+def check_ray(r_min: float, r_max: float, samples: int) -> None:
+    """Raise ValueError unless radial_profile accepts these arguments."""
+    if samples < 2:
+        raise ValueError("samples must be >= 2")
+    if not (0 < r_min < r_max):
+        raise ValueError("need 0 < r_min < r_max")
+
+
 def radial_profile(
     spec: RenderSpec, angle: float, r_min: float, r_max: float, samples: int
 ) -> RadialProfile:
     """Classify a geometric grid of radii along one ray from the center."""
     import numpy as np
 
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
-    if not (0 < r_min < r_max):
-        raise ValueError("need 0 < r_min < r_max")
+    check_ray(r_min, r_max, samples)
     t = np.arange(samples) / (samples - 1)
     radii = r_min * (r_max / r_min) ** t
     pts = spec.center + radii * np.exp(1j * angle)
@@ -231,6 +290,12 @@ def radial_profile(
     return RadialProfile(
         angle=angle, radii=radii, kind=kind, iters=iters, alternations=alternations
     )
+
+
+def check_symmetry_order(m: int) -> None:
+    """Raise ValueError unless rotational_symmetry_score accepts order m."""
+    if m < 2:
+        raise ValueError("m must be >= 2")
 
 
 def rotational_symmetry_score(grid: ClassGrid, m: int) -> float:
@@ -247,8 +312,7 @@ def rotational_symmetry_score(grid: ClassGrid, m: int) -> float:
     """
     import numpy as np
 
-    if m < 2:
-        raise ValueError("m must be >= 2")
+    check_symmetry_order(m)
     spec = grid.spec
     if spec is None:
         raise ValueError("rotational_symmetry_score needs a grid from classify_grid")

@@ -375,6 +375,57 @@ def test_render_rejects_non_finite_center(run, tmp_path, center):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("lam", ["nan", "infj", "inf+1j"])
+def test_render_and_verify_reject_non_finite_lambda(run, tmp_path, lam):
+    # nan gave census OK, nan critical points and exit 1 in verify; infj an
+    # all-E2 image and exit 0 in render.
+    code, out, err = run("verify", fx("f_cubic"), "--lambda", lam)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: lambda {complex(lam)} must be finite")
+    out_path = tmp_path / "f.ppm"
+    code, out, err = run(
+        "render", fx("f_cubic"),
+        "--out", str(out_path), "--width", "16", "--height", "16", "--lambda", lam,
+    )
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: lambda {complex(lam)} must be finite")
+    assert not out_path.exists()
+
+
+def test_render_rejects_negative_max_iter(run, tmp_path):
+    out_path = tmp_path / "f.ppm"
+    argv = ["render", fx("f_cubic"), "--out", str(out_path), "--width", "16", "--height", "16"]
+    code, out, err = run(*argv, "--max-iter", "-5")
+    assert code == 2 and out == ""
+    assert err.startswith("error: max_iter -5 must be >= 0")
+    assert not out_path.exists()
+    code, out, _ = run(*argv, "--max-iter", "0")
+    assert code == 0 and out.startswith(f"wrote {out_path}")
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--symmetry-order", "1"], "m must be >= 2"),
+        (["--ray-samples", "1"], "samples must be >= 2"),
+        (["--ray-rmin", "2"], "need 0 < r_min < r_max"),
+        (["--ray-rmin", "0"], "need 0 < r_min < r_max"),
+        (["--ray-rmax", "nan"], "need 0 < r_min < r_max"),
+    ],
+)
+def test_render_checks_diagnostics_arguments_before_rendering(run, tmp_path, flags, message):
+    out_path = tmp_path / "f.ppm"
+    text_path = tmp_path / "f.txt"
+    code, out, err = run(
+        "render", fx("f_cubic"),
+        "--out", str(out_path), "--text", str(text_path), "--width", "16", "--height", "16",
+        "--diagnostics", *flags,
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+    assert not out_path.exists() and not text_path.exists()
+
+
 def test_render_unwritable_path(run, tmp_path):
     code, _, err = run(
         "render", fx("z3_d3"),

@@ -26,6 +26,7 @@ from mcmlike.dynamics import (
     newton_cycle,
     pole_orders,
     product_pole_map,
+    reflections,
     simple_poles_map,
 )
 from mcmlike.model import classify_polynomial
@@ -283,6 +284,79 @@ def test_auto_radius_is_an_escape_radius():
                 math.cos(2 * math.pi * k / 64), math.sin(2 * math.pi * k / 64)
             )
             assert abs(eval_map(f, z)) > abs(z)
+
+
+def test_checked_escape_radius_rejects_a_map_with_a_non_finite_coefficient():
+    cube = ComplexPoly([0, 0, 0, 1])
+    maps = [simple_poles_map(cube, [(0j, 3, bad)]) for bad in (complex("nan"), complex("infj"))]
+    maps.append(ComplexPoly([float("nan"), 0, 1]))
+    for f in maps:
+        assert not math.isfinite(auto_radius(f))
+        for radius in (None, 10.0, 1e300):
+            with pytest.raises(ValueError, match="auto radius .* is not finite"):
+                checked_escape_radius(f, radius)
+
+
+FIXTURE_REFLECTIONS = {
+    "f_cubic": (1, -1),
+    "g_cubic": (-1,),
+    "h_multipole": (1,),
+    "nd2_family": (1,),
+    "q_conjugate": (),
+    "q_family": (1,),
+    "r_milnor": (-1,),
+    "z3_d3": (1, -1),
+    "z3_d4": (1, -1),
+}
+
+
+def assert_commutes(f, sign):
+    """f(s conj z) == s conj f(z) element for element (== ignores the sign of zeros)."""
+    rng = np.random.default_rng(7)
+    z = rng.uniform(-2, 2, 400) + 1j * rng.uniform(-2, 2, 400)
+    with np.errstate(all="ignore"):
+        mirrored = eval_unchecked(f, sign * np.conj(z))
+        assert np.array_equal(mirrored, sign * np.conj(eval_unchecked(f, z)))
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_REFLECTIONS))
+def test_reflections_of_the_fixtures(name):
+    mf = load_model(FIXTURES / f"{name}.json")
+    f = mf.build_map()
+    assert reflections(f) == FIXTURE_REFLECTIONS[name]
+    if mf.family is not None:
+        for factor in (0.25, 4):
+            scaled = mf.build_map(lambda_override=f.terms[0][0] * factor)
+            assert reflections(scaled) == FIXTURE_REFLECTIONS[name]
+    for sign in FIXTURE_REFLECTIONS[name]:
+        assert_commutes(f, sign)
+
+
+def test_reflections_from_exact_parts():
+    cube = ComplexPoly([0, 0, 0, 1])
+    # -0.0 parts count as zero.
+    assert reflections(ComplexPoly([complex(0, -0.0), 0, complex(1, -0.0)])) == (1,)
+    assert reflections(ComplexPoly([complex(-0.0, 1), 0, 0, complex(1, -0.0)])) == (-1,)
+    signed_zeros = simple_poles_map(cube, [(complex(-0.0, -0.0), 3, complex(-0.01, -0.0))])
+    assert reflections(signed_zeros) == (1, -1)
+    # An imaginary part of 5e-324 drops conj; an off-axis pole drops -conj.
+    assert reflections(ComplexPoly([0, 0, complex(1, 5e-324)])) == ()
+    assert reflections(simple_poles_map(cube, [(complex(0, 5e-324), 3, -0.01 + 0j)])) == (-1,)
+    off_axis = simple_poles_map(cube, [(0.5 + 0j, 3, -0.01 + 0j)])
+    assert reflections(off_axis) == (1,)
+    assert reflections(simple_poles_map(cube, [(complex(5e-324, 0.5), 3, -0.01 + 0j)])) == ()
+    # Under -conj a term of even total order needs an imaginary coefficient,
+    # one of odd order a real one; the base alternates the same way.
+    even_term = simple_poles_map(cube, [(0j, 2, 0.01j)])
+    two_factors = product_pole_map(cube, 0.01 + 0j, [(0.5j, 1), (-0.5j, 2)])
+    alternating = ComplexPoly([1j, 2, 3j, 4])
+    assert reflections(even_term) == (-1,)
+    assert reflections(simple_poles_map(cube, [(0j, 2, 0.01 + 0j)])) == (1,)
+    assert reflections(two_factors) == (-1,)
+    assert reflections(alternating) == (-1,)
+    assert reflections(ComplexPoly([1j, 2, 3, 4])) == ()
+    for f, sign in [(even_term, -1), (two_factors, -1), (alternating, -1), (off_axis, 1)]:
+        assert_commutes(f, sign)
 
 
 def test_iterate_orbit_converges_to_superattracting_fixed_point():

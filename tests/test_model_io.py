@@ -250,6 +250,13 @@ def test_lambda_override_keeps_the_pole_lambda_ratios():
     assert [fs for _, fs in f.terms] == [((1 + 0j, 1),), ((-1 + 0j, 1),)]
 
 
+def test_lambda_override_must_be_finite():
+    fam = loads_model(poly_doc(family=simple_family()))
+    for bad in (complex("nan"), complex("infj"), complex(1, float("nan")), float("-inf")):
+        with pytest.raises(ValueError, match="lambda .* must be finite"):
+            fam.build_map(lambda_override=bad)
+
+
 def test_make_fixtures_reproduces_the_fixtures(tmp_path, monkeypatch):
     # The script builds every fixture through FamilySpec and the canonical
     # serializer; run into tmp_path, it must write fixtures/ byte for byte.

@@ -14,6 +14,7 @@ from mcmlike.dynamics import (
     checked_escape_radius,
     eval_map,
     eval_unchecked,
+    reflections,
 )
 from mcmlike.model_io import load_model
 from mcmlike.render import (
@@ -29,6 +30,8 @@ from mcmlike.render import (
     grid_to_text,
     radial_profile,
     rotational_symmetry_score,
+    _classify,
+    _mirrored_axes,
     _seeds,
     write_ppm,
 )
@@ -253,6 +256,19 @@ def test_render_spec_validation():
     for bad in (complex("nan"), complex("infj"), complex(1, float("nan")), float("-inf")):
         with pytest.raises(ValueError, match="center .* must be finite"):
             RenderSpec(map=SQUARE, width=8, height=8, center=bad)
+    for bad in (-1, -5):
+        with pytest.raises(ValueError, match="max_iter .* must be >= 0"):
+            RenderSpec(map=SQUARE, width=8, height=8, max_iter=bad)
+
+
+def test_max_iter_zero_classifies_step_zero_only():
+    # Seeds -3.5, -1.5, 0.5 and 2.5: beyond the radius 2, escaping at step 1,
+    # on the attractor, beyond the radius.
+    spec = RenderSpec(
+        map=SQUARE, width=4, height=1, center=0.5 - 1j, half_width=4.0, max_iter=0,
+        attractors=[((0.5 + 0j,), 1)],
+    )
+    assert grid_to_text(classify_grid(spec)) == "E0,U,B0.0,E0\n"
 
 
 def test_classify_points_rejects_non_finite_escape_radius():
@@ -457,3 +473,96 @@ def test_grid_to_text_tags_every_label():
         basin_phase=grid.basin_phase[:, :4].reshape(2, 2),
     )
     assert grid_to_text(two_rows) == "U,E0\nE1,E2\n"
+
+
+# ---------------------------------------------------------------------------
+# Mirrored windows: classify_grid classifies the fundamental region of the
+# window's exact axis reflections and copies the rest.  Every label must
+# equal that of classifying every seed.
+
+
+MIRROR_CENTERS = (0j, 0.1 + 0j, -0.1 + 0j, 0.1j, -0.1j, 0.1 + 0.1j)
+MIRROR_SIZES = ((64, 64), (65, 63), (2, 1), (1, 1))
+POLY_FIXTURES = (
+    "f_cubic", "g_cubic", "h_multipole", "nd2_family", "q_conjugate", "q_family",
+    "r_milnor", "z3_d3", "z3_d4",
+)
+# (rows, columns) mirrored at centre 0 with the fixture's own attractors.
+MIRRORED_AT_ZERO = {
+    "f_cubic": (True, True), "g_cubic": (False, True), "h_multipole": (True, False),
+    "nd2_family": (True, False), "q_conjugate": (False, False), "q_family": (True, False),
+    "r_milnor": (False, True), "z3_d3": (True, True), "z3_d4": (True, True),
+}
+
+
+def assert_grid_matches_every_seed(spec, tmp_path):
+    grid = classify_grid(spec)
+    shape = (spec.height, spec.width)
+    full = [a.reshape(shape) for a in _classify(spec, _seeds(spec))]
+    got = (grid.kind, grid.iters, grid.basin_id, grid.basin_phase)
+    for g, w in zip(got, full):
+        assert g.dtype == w.dtype and g.flags.c_contiguous
+        assert np.array_equal(g, w)
+    reference = ClassGrid(
+        width=spec.width, height=spec.height, center=spec.center, pitch=spec.pitch,
+        kind=full[0], iters=full[1], basin_id=full[2], basin_phase=full[3],
+    )
+    assert ppm_bytes(grid, tmp_path, "grid.ppm") == ppm_bytes(reference, tmp_path, "ref.ppm")
+    return grid
+
+
+def _fixture_cases():
+    for name in POLY_FIXTURES:
+        has_family = "family" in load_model(FIXTURES / f"{name}.json").to_dict()
+        for factor in (0.25, 1, 4) if has_family else (None,):
+            yield pytest.param(name, factor, id=name if factor is None else f"{name}-{factor}")
+
+
+@pytest.mark.parametrize("name, factor", list(_fixture_cases()))
+def test_mirrored_grid_matches_every_seed(name, factor, tmp_path):
+    mf = load_model(FIXTURES / f"{name}.json")
+    f = mf.build_map()
+    if factor is not None:
+        f = mf.build_map(lambda_override=f.terms[0][0] * factor)
+    attractors, _ = _render_attractors(mf, f)
+    for center in MIRROR_CENTERS:
+        for width, height in MIRROR_SIZES:
+            spec = RenderSpec(
+                map=f, width=width, height=height, center=center, attractors=attractors,
+            )
+            assert_grid_matches_every_seed(spec, tmp_path)
+    at_zero = RenderSpec(map=f, width=8, height=8, attractors=attractors)
+    assert _mirrored_axes(at_zero) == MIRRORED_AT_ZERO[name]
+
+
+def test_mirror_follows_the_window_centre():
+    f = f_map()
+    for center, axes in [
+        (0j, (True, True)),
+        (-0.0 + 0.1j, (False, True)),
+        (complex(0.1, -0.0), (True, False)),
+        (0.1 + 0.1j, (False, False)),
+    ]:
+        assert _mirrored_axes(RenderSpec(map=f, width=8, height=8, center=center)) == axes
+
+
+def test_mirror_declined_for_an_attractor_one_ulp_off_the_axis(tmp_path):
+    # z^2 commutes with conj, and the window's rows at +-1 ulp mirror each
+    # other.  The attractor sits 1 ulp above the real axis with capture_tol
+    # 0: the seed on it is captured at step 0, while its mirror image (2 ulp
+    # away) squares to 0 and stays Undecided.  Copying rows would read B0.0
+    # in both.
+    ulp = 5e-324
+    spec = RenderSpec(
+        map=SQUARE, width=4, height=4, center=0j, half_width=2 * ulp, max_iter=8,
+        attractors=[((complex(0.0, ulp),), 1)], capture_tol=0.0,
+    )
+    assert reflections(SQUARE) == (1,)
+    assert _mirrored_axes(spec) == (False, False)
+    on_axis = RenderSpec(
+        map=SQUARE, width=4, height=4, center=0j, half_width=2 * ulp, max_iter=8,
+        attractors=[((0j,), 1)], capture_tol=0.0,
+    )
+    assert _mirrored_axes(on_axis) == (True, False)
+    grid = assert_grid_matches_every_seed(spec, tmp_path)
+    assert grid.tag(2, 1) == "B0.0" and grid.tag(2, 3) == "U"
