@@ -1,11 +1,11 @@
 """Core complex dynamics: polynomials, polynomial-plus-pole maps, roots, orbits.
 
-Maps come in two flavours: plain polynomials (ascending coefficient lists)
-and rational perturbations P(z) + sum_t c_t / prod_k (z - a_k)^{d_k}, each
-term a coefficient c_t over its own pole factors.  Everything downstream
-(classification, verification, rendering) is built on the primitives in
-this module: ``find_roots``, ``eval_map`` (``eval_unchecked`` on arrays),
-``newton_cycle`` and ``iterate_orbit``.
+A map is a polynomial P (ascending coefficient lists) plus pole terms,
+P(z) + sum_t c_t / prod_k (z - a_k)^{d_k}, each term a coefficient c_t over
+its own pole factors; a polynomial is a map whose term list is empty.
+Everything downstream (classification, verification, rendering) is built
+on the primitives in this module: ``find_roots``, ``eval_map``
+(``eval_unchecked`` on arrays), ``newton_cycle`` and ``iterate_orbit``.
 """
 
 from __future__ import annotations
@@ -57,9 +57,17 @@ def _trim(coeffs: Sequence[complex]) -> Tuple[complex, ...]:
 
 @dataclass
 class ComplexPoly:
-    """Polynomial with ascending complex coefficients: coeffs[k] * z**k."""
+    """Polynomial with ascending complex coefficients: coeffs[k] * z**k.
+
+    As a map it is its own base with no pole terms.
+    """
 
     coeffs: Tuple[complex, ...]
+    terms = ()
+
+    @property
+    def base(self) -> "ComplexPoly":
+        return self
 
     def __post_init__(self):
         self.coeffs = _trim(self.coeffs)
@@ -173,8 +181,6 @@ def product_pole_map(base: ComplexPoly, lam: complex, factors: Sequence[PoleFact
 
 def pole_orders(f: MapLike) -> List[PoleFactor]:
     """(location, order) of every pole, in the order the map lists them."""
-    if isinstance(f, ComplexPoly):
-        return []
     return [pole for _, factors in f.terms for pole in factors]
 
 
@@ -196,15 +202,14 @@ def reflections(f: MapLike) -> Tuple[int, ...]:
     real for odd k and imaginary for even k, poles are imaginary and a term
     coefficient is real for odd D and imaginary for even D.
     """
-    base, terms = (f, ()) if isinstance(f, ComplexPoly) else (f.base, f.terms)
     return tuple(
         s
         for s in (1, -1)
-        if all(fixed_by_reflection(c, s ** (k + 1)) for k, c in enumerate(base.coeffs))
+        if all(fixed_by_reflection(c, s ** (k + 1)) for k, c in enumerate(f.base.coeffs))
         and all(
             fixed_by_reflection(c, s ** (sum(d for _, d in factors) + 1))
             and all(fixed_by_reflection(a, s) for a, _ in factors)
-            for c, factors in terms
+            for c, factors in f.terms
         )
     )
 
@@ -232,8 +237,6 @@ def eval_unchecked(f: MapLike, z):
     Python complex that is a rebinding.  z itself is never written to nor
     returned.
     """
-    if isinstance(f, ComplexPoly):
-        return f.eval(z)
     val = f.base.eval(z)
     for c, factors in f.terms:
         den = None
@@ -267,8 +270,6 @@ def eval_map(f: MapLike, z: complex) -> complex:
 def eval_map_derivative(f: MapLike, z: complex) -> complex:
     """Evaluate f'(z) pointwise without building product polynomials."""
     _check_poles(f, z)
-    if isinstance(f, ComplexPoly):
-        return f.derivative().eval(z)
     val = f.base.derivative().eval(z)
     for c, factors in f.terms:
         # (c / prod w_k^d_k)' = -c num / den with w_k = z - a_k,
@@ -336,11 +337,8 @@ def auto_radius(f: MapLike) -> float:
     yield a genuine escape radius.  A non-finite coefficient gives the
     non-finite sum of the magnitudes instead, which bounds nothing.
     """
-    if isinstance(f, ComplexPoly):
-        base, lam_sum = f, 0.0
-    else:
-        base, lam_sum = f.base, sum(abs(c) for c, _ in f.terms)
-    cs = base.coeffs
+    lam_sum = sum(abs(c) for c, _ in f.terms)
+    cs = f.base.coeffs
     total = sum(abs(c) for c in cs)
     if not math.isfinite(total + lam_sum):
         return total + lam_sum
@@ -378,25 +376,17 @@ def _coeff_scale(coeffs: Sequence[complex], r: float) -> float:
     return s
 
 
-def _newton_polish(coeffs: Sequence[complex], dcoeffs: Sequence[complex], z: complex, steps: int = 4) -> complex:
+def _newton_polish(p: ComplexPoly, dp: ComplexPoly, z: complex, steps: int = 4) -> complex:
+    """At most ``steps`` Newton steps on p from z; dp is p's derivative."""
     for _ in range(steps):
-        val = 0j
-        for c in reversed(coeffs):
-            val = val * z + c
-        dval = 0j
-        for c in reversed(dcoeffs):
-            dval = dval * z + c
+        dval = dp.eval(z)
         if dval == 0:
             break
-        step = val / dval
+        step = p.eval(z) / dval
         if not (math.isfinite(step.real) and math.isfinite(step.imag)):
             break
         z = z - step
     return z
-
-
-def _derivative_coeffs(coeffs: Sequence[complex]) -> Tuple[complex, ...]:
-    return tuple(k * c for k, c in enumerate(coeffs) if k > 0)
 
 
 def find_roots(poly: ComplexPoly):
@@ -413,23 +403,24 @@ def find_roots(poly: ComplexPoly):
     Returns a list of (root, multiplicity) sorted by (re, im); the
     multiplicities always sum to the degree.
     """
-    coeffs = list(poly.coeffs)
-    n = len(coeffs) - 1
+    n = poly.degree
     if n <= 0:
         return []
 
     # Exact zero roots deflate symbolically (common for derivative polys).
     zero_mult = 0
-    while zero_mult < n and coeffs[0] == 0:
-        coeffs.pop(0)
+    while zero_mult < n and poly.coeffs[zero_mult] == 0:
         zero_mult += 1
     results = []
     if zero_mult:
         results.append((0j, zero_mult))
-    m = len(coeffs) - 1
+    p = ComplexPoly(poly.coeffs[zero_mult:])
+    m = p.degree
     if m == 0:
         return results
 
+    coeffs = p.coeffs
+    dp = p.derivative()
     if m == 1:
         roots = [-coeffs[0] / coeffs[1]]
     else:
@@ -441,19 +432,14 @@ def find_roots(poly: ComplexPoly):
             theta = 2.0 * math.pi * (j + 0.3 * rng.random()) / m + 0.4337
             rad = r0 * (1.0 + 0.12 * (rng.random() - 0.5))
             roots.append(rad * complex(math.cos(theta), math.sin(theta)))
-        dcoeffs = _derivative_coeffs(coeffs)
         for _ in range(ABERTH_MAX_ITER):
             max_step = 0.0
             for k in range(m):
                 z = roots[k]
-                val = 0j
-                for c in reversed(coeffs):
-                    val = val * z + c
+                val = p.eval(z)
                 if val == 0:
                     continue
-                dval = 0j
-                for c in reversed(dcoeffs):
-                    dval = dval * z + c
+                dval = dp.eval(z)
                 if dval == 0:
                     roots[k] = z + 1e-8 * (1 + abs(z))
                     max_step = 1.0
@@ -475,26 +461,20 @@ def find_roots(poly: ComplexPoly):
             if max_step < 1e-14:
                 break
 
-    dcoeffs = _derivative_coeffs(coeffs)
-    roots = [_newton_polish(coeffs, dcoeffs, z) for z in roots]
+    roots = [_newton_polish(p, dp, z) for z in roots]
 
     res_tol = ROOT_RESIDUAL_RTOL * (1.0 + sum(abs(c) for c in poly.coeffs))
-    worst = 0.0
-    for z in roots:
-        val = 0j
-        for c in reversed(coeffs):
-            val = val * z + c
-        worst = max(worst, abs(val))
+    worst = max([0.0] + [abs(p.eval(z)) for z in roots])
     if worst > res_tol:
         raise NonConvergence(f"root residual {worst:.3e} exceeds {res_tol:.3e}")
 
-    clusters = _cluster_roots(roots, coeffs)
+    clusters = _cluster_roots(roots, p)
     results.extend(clusters)
     results.sort(key=lambda rm: (rm[0].real, rm[0].imag))
     return results
 
 
-def _cluster_roots(roots, coeffs):
+def _cluster_roots(roots, p: ComplexPoly):
     # Pass 1: plain proximity merge.
     clusters = []  # (centroid, multiplicity)
     for z in sorted(roots, key=lambda w: (w.real, w.imag)):
@@ -507,7 +487,7 @@ def _cluster_roots(roots, coeffs):
 
     # Pass 2: certified multiple-root merge.  A genuine m-fold root can only
     # be located to (noise/|p^(m)/m!|)^(1/m); merge pairs inside that radius.
-    n = len(coeffs) - 1
+    n = p.degree
     changed = True
     while changed and len(clusters) > 1:
         changed = False
@@ -523,23 +503,18 @@ def _cluster_roots(roots, coeffs):
         if m > n:
             break
         c = (ci * mi + cj * mj) / m
-        noise = 4.0 * n * EPS * max(_coeff_scale(coeffs, abs(c)), 1e-300)
-        dm = list(coeffs)
-        for _ in range(m):
-            dm = list(_derivative_coeffs(dm))
-        am = 0j
-        for cc in reversed(dm):
-            am = am * c + cc
-        am = abs(am) / math.factorial(m)
+        noise = 4.0 * n * EPS * max(_coeff_scale(p.coeffs, abs(c)), 1e-300)
+        dm1 = p
+        for _ in range(m - 1):
+            dm1 = dm1.derivative()
+        dm = dm1.derivative()
+        am = abs(dm.eval(c)) / math.factorial(m)
         if am <= 0:
             rho = float("inf")
         else:
             rho = 8.0 * (noise / am) ** (1.0 / m)
         if d <= rho and rho <= 1e-2 * (1.0 + abs(c)):
-            dm1 = list(coeffs)
-            for _ in range(m - 1):
-                dm1 = list(_derivative_coeffs(dm1))
-            c = _newton_polish(dm1, _derivative_coeffs(dm1), c, steps=40)
+            c = _newton_polish(dm1, dm, c, steps=40)
             new = [cl for k, cl in enumerate(clusters) if k not in (i, j)]
             new.append((c, m))
             clusters = new
@@ -655,13 +630,10 @@ def iterate_orbit(
             return rec
         rec.samples.append(z_new)
         if abs(z_new) > escape_radius:
-            if poles:
-                rec.outcome = Escaped(k, z, passage, passage_pole, passage_dist)
-            else:
-                rec.outcome = Escaped(k, z, z, None, float("inf"))
+            rec.outcome = Escaped(k, z, passage, passage_pole, passage_dist)
             return rec
         pk, pd = approach(z_new)
-        if poles and pd <= passage_dist:
+        if pd <= passage_dist:
             passage, passage_pole, passage_dist = z_new, pk, pd
         z = z_new
         if k >= CYCLE_TRANSIENT and side:

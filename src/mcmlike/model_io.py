@@ -69,13 +69,15 @@ class FamilySpec:
     def build(self, base: ComplexPoly, lambda_override: Optional[complex] = None) -> RationalMapExpr:
         """The map; lambda_override sets the first term's coefficient and scales
         every other term's by the same factor, keeping their ratios.  A
-        non-finite override raises ValueError, as a non-finite lambda in a
+        non-finite or zero override raises ValueError, as such a lambda in a
         model file does."""
         terms = self.terms
         if lambda_override is not None:
             lam = complex(lambda_override)
             if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
                 raise ValueError(f"lambda {lambda_override} must be finite")
+            if lam == 0:
+                raise ValueError("lambda must be nonzero")
             scale = lam / terms[0][0]
             terms = ((lam, terms[0][1]),) + tuple((c * scale, fs) for c, fs in terms[1:])
         return RationalMapExpr(base, terms)

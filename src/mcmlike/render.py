@@ -272,6 +272,8 @@ def check_ray(r_min: float, r_max: float, samples: int) -> None:
         raise ValueError("samples must be >= 2")
     if not (0 < r_min < r_max):
         raise ValueError("need 0 < r_min < r_max")
+    if not math.isfinite(r_max):
+        raise ValueError(f"r_max {r_max} must be finite")
 
 
 def radial_profile(

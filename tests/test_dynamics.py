@@ -8,13 +8,19 @@ import numpy as np
 import pytest
 
 from mcmlike.dynamics import (
+    ABERTH_MAX_ITER,
     CYCLE_TRANSIENT,
+    EPS,
     PERIOD_WINDOW,
+    ROOT_CLUSTER_TOL,
+    ROOT_RESIDUAL_RTOL,
     ComplexPoly,
     ConvergedToCycle,
     Escaped,
+    NonConvergence,
     OrbitRecord,
     PoleHit,
+    RationalMapExpr,
     Undecided,
     auto_radius,
     checked_escape_radius,
@@ -31,7 +37,7 @@ from mcmlike.dynamics import (
 )
 from mcmlike.model import classify_polynomial
 from mcmlike.model_io import load_model
-from mcmlike.verify import critical_census, free_critical_points
+from mcmlike.verify import critical_census, free_critical_points, free_critical_polynomial, map_degree
 
 from conftest import FIXTURES
 
@@ -572,3 +578,250 @@ def test_iterate_orbit_degenerate_cycle_tolerances(tol):
     if tol == 1e-300:
         rec = iterate_orbit(cube, 0.5 + 0j, cycle_tol=tol)
         assert rec.outcome == ConvergedToCycle(1, 0j, CYCLE_TRANSIENT)
+
+
+# ---------------------------------------------------------------------------
+# A polynomial is a map with no pole terms
+
+
+@pytest.mark.parametrize("name", CONCRETE)
+def test_polynomial_and_its_termless_map_agree(name):
+    p = load_model(FIXTURES / f"{name}.json").polynomial
+    f = RationalMapExpr(p, ())
+    assert pole_orders(p) == pole_orders(f) == []
+    assert reflections(p) == reflections(f)
+    assert bits(complex(auto_radius(p))) == bits(complex(auto_radius(f)))
+    assert map_degree(p) == map_degree(f) == p.degree
+    seeds = _reference_seeds(p)
+    arr = np.array(seeds)
+    with np.errstate(all="ignore"):
+        assert eval_unchecked(p, arr).tobytes() == eval_unchecked(f, arr).tobytes()
+    for z in seeds:
+        assert bits(eval_unchecked(p, z)) == bits(eval_unchecked(f, z))
+        assert bits(eval_map_derivative(p, z)) == bits(eval_map_derivative(f, z))
+    # Finite starts only: a nan sample would compare unequal to itself.
+    starts = [c for c, _ in find_roots(p.derivative())] + seeds[:-3]
+    for z0 in starts:
+        for radius in (None, 1e300):
+            assert iterate_orbit(p, z0, escape_radius=radius) == iterate_orbit(
+                f, z0, escape_radius=radius
+            )
+
+
+def test_escape_to_overflow_reports_the_last_bounded_iterate():
+    # z^2 from 1e100: 1e200 stays inside 1e300 and its square overflows.
+    rec = iterate_orbit(ComplexPoly([0, 0, 1]), 1e100 + 0j, escape_radius=1e300)
+    out = rec.outcome
+    assert isinstance(out, Escaped) and out.escape_index == 2
+    assert out.passage_point == out.last_bounded == 1e200
+    assert out.nearest_pole_index is None and out.pole_distance == math.inf
+
+
+# find_roots as it was when it ran its own Horner loops on raw coefficient
+# lists; the ComplexPoly form must return the same roots bit for bit up to
+# the sign of a zero.
+
+
+def _reference_coeff_scale(coeffs, r):
+    s, rk = 0.0, 1.0
+    for c in coeffs:
+        s += abs(c) * rk
+        rk *= r
+    return s
+
+
+def _reference_newton_polish(coeffs, dcoeffs, z, steps=4):
+    for _ in range(steps):
+        val = 0j
+        for c in reversed(coeffs):
+            val = val * z + c
+        dval = 0j
+        for c in reversed(dcoeffs):
+            dval = dval * z + c
+        if dval == 0:
+            break
+        step = val / dval
+        if not (math.isfinite(step.real) and math.isfinite(step.imag)):
+            break
+        z = z - step
+    return z
+
+
+def _reference_derivative_coeffs(coeffs):
+    return tuple(k * c for k, c in enumerate(coeffs) if k > 0)
+
+
+def reference_find_roots(poly):
+    coeffs = list(poly.coeffs)
+    n = len(coeffs) - 1
+    if n <= 0:
+        return []
+    zero_mult = 0
+    while zero_mult < n and coeffs[0] == 0:
+        coeffs.pop(0)
+        zero_mult += 1
+    results = []
+    if zero_mult:
+        results.append((0j, zero_mult))
+    m = len(coeffs) - 1
+    if m == 0:
+        return results
+    if m == 1:
+        roots = [-coeffs[0] / coeffs[1]]
+    else:
+        rng = random.Random(0xA8E27 + m)
+        r0 = abs(coeffs[0] / coeffs[-1]) ** (1.0 / m)
+        r0 = max(r0, 1e-12)
+        roots = []
+        for j in range(m):
+            theta = 2.0 * math.pi * (j + 0.3 * rng.random()) / m + 0.4337
+            rad = r0 * (1.0 + 0.12 * (rng.random() - 0.5))
+            roots.append(rad * complex(math.cos(theta), math.sin(theta)))
+        dcoeffs = _reference_derivative_coeffs(coeffs)
+        for _ in range(ABERTH_MAX_ITER):
+            max_step = 0.0
+            for k in range(m):
+                z = roots[k]
+                val = 0j
+                for c in reversed(coeffs):
+                    val = val * z + c
+                if val == 0:
+                    continue
+                dval = 0j
+                for c in reversed(dcoeffs):
+                    dval = dval * z + c
+                if dval == 0:
+                    roots[k] = z + 1e-8 * (1 + abs(z))
+                    max_step = 1.0
+                    continue
+                ratio = val / dval
+                acc = 0j
+                for j in range(m):
+                    if j != k:
+                        dz = z - roots[j]
+                        if dz == 0:
+                            dz = 1e-14 * (1 + abs(z))
+                        acc += 1.0 / dz
+                denom = 1.0 - ratio * acc
+                w = ratio if denom == 0 else ratio / denom
+                if not (math.isfinite(w.real) and math.isfinite(w.imag)):
+                    w = 0j
+                roots[k] = z - w
+                max_step = max(max_step, abs(w) / (1.0 + abs(roots[k])))
+            if max_step < 1e-14:
+                break
+    dcoeffs = _reference_derivative_coeffs(coeffs)
+    roots = [_reference_newton_polish(coeffs, dcoeffs, z) for z in roots]
+    res_tol = ROOT_RESIDUAL_RTOL * (1.0 + sum(abs(c) for c in poly.coeffs))
+    worst = 0.0
+    for z in roots:
+        val = 0j
+        for c in reversed(coeffs):
+            val = val * z + c
+        worst = max(worst, abs(val))
+    if worst > res_tol:
+        raise NonConvergence(f"root residual {worst:.3e} exceeds {res_tol:.3e}")
+    results.extend(_reference_cluster_roots(roots, coeffs))
+    results.sort(key=lambda rm: (rm[0].real, rm[0].imag))
+    return results
+
+
+def _reference_cluster_roots(roots, coeffs):
+    clusters = []
+    for z in sorted(roots, key=lambda w: (w.real, w.imag)):
+        for i, (c, m) in enumerate(clusters):
+            if abs(z - c) <= ROOT_CLUSTER_TOL * (1.0 + abs(c)):
+                clusters[i] = ((c * m + z) / (m + 1), m + 1)
+                break
+        else:
+            clusters.append((z, 1))
+    n = len(coeffs) - 1
+    changed = True
+    while changed and len(clusters) > 1:
+        changed = False
+        best = None
+        for i in range(len(clusters)):
+            for j in range(i + 1, len(clusters)):
+                d = abs(clusters[i][0] - clusters[j][0])
+                if best is None or d < best[0]:
+                    best = (d, i, j)
+        d, i, j = best
+        (ci, mi), (cj, mj) = clusters[i], clusters[j]
+        m = mi + mj
+        if m > n:
+            break
+        c = (ci * mi + cj * mj) / m
+        noise = 4.0 * n * EPS * max(_reference_coeff_scale(coeffs, abs(c)), 1e-300)
+        dm = list(coeffs)
+        for _ in range(m):
+            dm = list(_reference_derivative_coeffs(dm))
+        am = 0j
+        for cc in reversed(dm):
+            am = am * c + cc
+        am = abs(am) / math.factorial(m)
+        if am <= 0:
+            rho = float("inf")
+        else:
+            rho = 8.0 * (noise / am) ** (1.0 / m)
+        if d <= rho and rho <= 1e-2 * (1.0 + abs(c)):
+            dm1 = list(coeffs)
+            for _ in range(m - 1):
+                dm1 = list(_reference_derivative_coeffs(dm1))
+            c = _reference_newton_polish(dm1, _reference_derivative_coeffs(dm1), c, steps=40)
+            new = [cl for k, cl in enumerate(clusters) if k not in (i, j)]
+            new.append((c, m))
+            clusters = new
+            changed = True
+    return clusters
+
+
+def roots_or_failure(solve, poly):
+    try:
+        return solve(poly)
+    except NonConvergence as exc:
+        return str(exc)
+
+
+def assert_same_roots(poly):
+    got = roots_or_failure(find_roots, poly)
+    want = roots_or_failure(reference_find_roots, poly)
+    assert got == want, poly
+    return got
+
+
+@pytest.mark.parametrize("name", CONCRETE)
+def test_find_roots_matches_the_raw_coefficient_form_on_fixtures(name):
+    mf = load_model(FIXTURES / f"{name}.json")
+    assert_same_roots(mf.polynomial.derivative())
+    if mf.family is not None:
+        lam = mf.build_map().terms[0][0]
+        for j in range(61):
+            f = mf.build_map(lambda_override=lam * 10.0 ** (-2.0 + 3.0 * j / 60))
+            assert_same_roots(free_critical_polynomial(f))
+
+
+def test_find_roots_matches_the_raw_coefficient_form_on_random_polynomials():
+    rng = random.Random(15)
+
+    def point():
+        return complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+
+    multiple = 0
+    for _ in range(120):
+        n = rng.randint(1, 12)
+        shape = rng.choice(("random", "multiple", "clustered"))
+        if shape == "random":
+            poly = ComplexPoly([point() for _ in range(n)] + [point()])
+        else:
+            roots = []
+            while len(roots) < n:
+                z = point()
+                k = rng.randint(1, min(4, n - len(roots)))
+                if shape == "multiple":
+                    roots += [z] * k
+                else:
+                    roots += [z + 10.0 ** rng.uniform(-9, -3) * point() for _ in range(k)]
+            poly = ComplexPoly.from_roots(roots, lead=point())
+        got = assert_same_roots(poly)
+        multiple += isinstance(got, list) and any(m > 1 for _, m in got)
+    assert multiple

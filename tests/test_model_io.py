@@ -257,6 +257,15 @@ def test_lambda_override_must_be_finite():
             fam.build_map(lambda_override=bad)
 
 
+def test_lambda_override_must_be_nonzero():
+    # A zero override would build P + 0 / (z - a)^d, a map of the wrong
+    # degree whose census still passed; a model file rejects lambda 0 too.
+    fam = loads_model(poly_doc(family=simple_family()))
+    for zero in (0, 0.0, -0.0, 0j, complex(-0.0, -0.0)):
+        with pytest.raises(ValueError, match="lambda must be nonzero"):
+            fam.build_map(lambda_override=zero)
+
+
 def test_make_fixtures_reproduces_the_fixtures(tmp_path, monkeypatch):
     # The script builds every fixture through FamilySpec and the canonical
     # serializer; run into tmp_path, it must write fixtures/ byte for byte.

@@ -33,6 +33,7 @@ from mcmlike.render import (
     _classify,
     _mirrored_axes,
     _seeds,
+    check_ray,
     write_ppm,
 )
 
@@ -205,6 +206,13 @@ def test_radial_validation():
         radial_profile(spec, 0.0, 0.0, 1.6, 16)
     with pytest.raises(ValueError):
         radial_profile(spec, 0.0, 2.0, 1.6, 16)
+    # An infinite r_max made every sample after the first an infinite seed,
+    # read as escaped.
+    for check in (check_ray, lambda *ray: radial_profile(spec, 0.0, *ray)):
+        with pytest.raises(ValueError, match="r_max inf must be finite"):
+            check(1e-3, math.inf, 16)
+        with pytest.raises(ValueError, match="need 0 < r_min < r_max"):
+            check(1e-3, math.nan, 16)
 
 
 def test_basin_and_exterior_classification():
