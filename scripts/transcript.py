@@ -17,7 +17,9 @@ it is, at --max-iter 24 (Undecided pixels reach the cap) and at
 --escape-radius 1e6; then render of f_cubic at 16x16 with --center nan
 and with --center infj, which exit 2 and write nothing; then render --text
 of r_milnor and f_cubic at 65x63 with --center 0.1 and --center 0.1j (one
-mirrored axis, odd sizes); last, verify of f_cubic at --lambda 0 and
+mirrored axis, odd sizes); render --text of r_milnor and f_cubic at 64x64
+with --center 0, where seeds on an axis stay open to max_iter, as it is and
+at --max-iter 1 and 100; last, verify of f_cubic at --lambda 0 and
 render --diagnostics of f_cubic at 8x8 with --ray-rmax inf, which exit 2
 and write nothing.
 ``--only <subcommand>`` keeps that subcommand's rows alone.  Runs
@@ -90,6 +92,10 @@ def rows(fixtures):
         for center in ("0.1", "0.1j"):
             yield ["render", fx(n), "--out", OUTPUTS[0], "--text", OUTPUTS[1],
                    "--width", "65", "--height", "63", "--center", center]
+    for n in ("r_milnor", "f_cubic"):
+        for extra in ([], ["--max-iter", "1"], ["--max-iter", "100"]):
+            yield ["render", fx(n), "--out", OUTPUTS[0], "--text", OUTPUTS[1],
+                   "--width", "64", "--height", "64", "--center", "0", *extra]
     yield ["verify", fx("f_cubic"), "--lambda", "0"]
     yield ["render", fx("f_cubic"), "--out", OUTPUTS[0], "--width", "8", "--height", "8",
            "--diagnostics", "--ray-rmax", "inf"]

@@ -401,7 +401,9 @@ def find_roots(poly: ComplexPoly):
     root is simple again.
 
     Returns a list of (root, multiplicity) sorted by (re, im); the
-    multiplicities always sum to the degree.
+    multiplicities always sum to the degree.  Raises NonConvergence when a
+    residual exceeds its tolerance or a root or residual is not finite (the
+    start radius |c0/cn|^(1/m) can overflow).
     """
     n = poly.degree
     if n <= 0:
@@ -464,7 +466,11 @@ def find_roots(poly: ComplexPoly):
     roots = [_newton_polish(p, dp, z) for z in roots]
 
     res_tol = ROOT_RESIDUAL_RTOL * (1.0 + sum(abs(c) for c in poly.coeffs))
-    worst = max([0.0] + [abs(p.eval(z)) for z in roots])
+    residuals = [abs(p.eval(z)) for z in roots]
+    # A non-finite root has a non-finite residual, which max() would skip.
+    if not all(math.isfinite(r) for r in residuals):
+        raise NonConvergence("non-finite root or residual")
+    worst = max([0.0] + residuals)
     if worst > res_tol:
         raise NonConvergence(f"root residual {worst:.3e} exceeds {res_tol:.3e}")
 

@@ -8,6 +8,13 @@ capture within capture_tol of a supplied attractor point, Undecided at
 max_iter.  Only the seeds still open are iterated, and one comparison
 |z| <= radius per iterate tells escapes from the rest.
 
+The open seeds advance in bounded tiles: each step evaluates them in blocks
+of at most BLOCK seeds, and once at most FEW are open, a round of ROUND steps
+is evaluated and then checked at once.  The labels are bit-identical to one
+whole-array step at a time, because a label is the seed's first event,
+evaluation and checks are elementwise ufuncs (a seed's bits do not depend on
+the seeds beside it), and survivors are compacted in order.
+
 A window is classified on the fundamental region of its exact axis
 reflections.  When z -> conj(z) (or z -> -conj(z)) commutes with the map,
 as ``dynamics.reflections`` decides from exact coefficient parts, and fixes
@@ -41,6 +48,17 @@ from .dynamics import (
 KIND_UNDECIDED = 0
 KIND_ESCAPED = 1
 KIND_BASIN = 2
+
+# classify_points' tiles, chosen by timing 256x256 windows of the fixtures
+# (blocks of 4096, 8192 and 16384; FEW 64 and 128; ROUND 8, 16 and 32).  A
+# block of 8192 complex128 seeds is 128 KiB, so each step's temporaries are
+# reused from the heap instead of mapping fresh pages, and the per-block
+# call overhead stays small.  Once at most FEW seeds are open (r_milnor
+# keeps up to about 80 open to max_iter), a round of ROUND steps is checked
+# at once instead of paying that overhead on a few seeds at every step.
+BLOCK = 8192
+FEW = 128
+ROUND = 32
 
 # Frozen basin palette; Basin(id, phase) uses entry (2*id + phase) % 8.
 PALETTE8 = (
@@ -125,6 +143,18 @@ class RadialProfile:
         return out
 
 
+def _orbit(f: MapLike, z: np.ndarray, steps: int) -> np.ndarray:
+    """(steps, n) array of the iterates f(z), ..., f^steps(z) of n seeds."""
+    import numpy as np
+
+    if steps == 1:
+        return eval_unchecked(f, z)[None]
+    path = np.empty((steps, z.size), dtype=np.complex128)
+    for s in range(steps):
+        z = path[s] = eval_unchecked(f, z)
+    return path
+
+
 def classify_points(
     f: MapLike,
     pts: np.ndarray,
@@ -134,13 +164,23 @@ def classify_points(
     capture_tol: float = 1e-6,
 ):
     """Classify a flat complex array of seeds; the common vector core.
-    After step 0 only the open seeds are iterated, kept while |f(z)| <= radius.
-    A non-finite iterate (pole collision) fails that one test, so a non-finite
-    radius, like one below auto_radius(f), raises ValueError.  A step indexes
-    and writes escapes only if some seed failed the test, and captures only
-    for an attractor point that caught a seed; the open seeds are compressed
-    only on steps where one left, so a step where none leaves costs one
-    evaluation and the comparisons."""
+
+    The open seeds and their pixel indices sit in two buffers; step 0 is the
+    seeds themselves.  A seed stops at its first step with |z| > radius
+    (Escaped at that step; a non-finite iterate, a pole collision, fails
+    |z| <= radius, though a nan seed is not beyond it at step 0) or within
+    capture_tol of an attractor point (Basin of the first point listed).  A
+    non-finite radius, like one below auto_radius(f), raises ValueError.
+
+    Tile rule: a round advances the open seeds in blocks of at most BLOCK,
+    one step per round, or ROUND steps (capped at max_iter) once at most FEW
+    are open, and checks each block once per round.  Survivors are compacted
+    block by block into the same buffers, which is safe because the write
+    position never passes the read position.  The labels are those of one
+    whole-array step at a time: each seed's label is its first event,
+    evaluation and checks are elementwise ufuncs, so a seed's iterates do not
+    depend on which seeds share its block or round, and compaction keeps the
+    seeds' order.  Iterates after a seed's first event are discarded."""
     import numpy as np
 
     radius = checked_escape_radius(f, escape_radius)
@@ -153,41 +193,51 @@ def classify_points(
     apts = [(aid, ph, complex(p)) for aid, (points, _period) in enumerate(attractors or ())
             for ph, p in enumerate(points)]
 
-    out0 = np.abs(z) > radius
-    kind[out0] = KIND_ESCAPED
-    active = ~out0
-    for aid, ph, p in apts:
-        cap = active & (np.abs(z - p) <= capture_tol)
-        kind[cap] = KIND_BASIN
-        bid[cap] = aid
-        bph[cap] = ph
-        active &= ~cap
-
-    idx = np.nonzero(active)[0]
-    z = z[idx]
+    idx = np.arange(npts)
+    m, k = npts, 0  # open seeds, and the step the next round starts at
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for k in range(1, max_iter + 1):
-            if idx.size == 0:
-                break
-            z = eval_unchecked(f, z)
-            live = np.abs(z) <= radius
-            kept = live.all()
-            if not kept:
-                esc = idx[~live]
-                kind[esc] = KIND_ESCAPED
-                iters[esc] = k
-            for aid, ph, p in apts:
-                cap = live & (np.abs(z - p) <= capture_tol)
-                if cap.any():
-                    ci = idx[cap]
-                    kind[ci] = KIND_BASIN
-                    bid[ci] = aid
-                    bph[ci] = ph
-                    live &= ~cap
-                    kept = False
-            if not kept:
-                idx = idx[live]
-                z = z[live]
+        while m and k <= max_iter:
+            steps = min(ROUND, max_iter + 1 - k) if k and m <= FEW else 1
+            w = 0  # write position of the next survivor
+            for r in range(0, m, BLOCK):
+                e = min(r + BLOCK, m)
+                zb, ib = z[r:e], idx[r:e]
+                path = _orbit(f, zb, steps) if k else zb[None]
+                a = np.abs(path)
+                live = a <= radius if k else ~(a > radius)
+                near = [np.abs(path - p) <= capture_tol for _aid, _ph, p in apts]
+                stop = ~live
+                for c in near:
+                    stop |= c
+                if stop.any():
+                    if steps == 1:
+                        gone, live, near = stop[0], live[0], [c[0] for c in near]
+                    else:  # each seed's first event in the round
+                        first = stop.argmax(axis=0)
+                        cols = np.arange(first.size)
+                        gone, live = stop.any(axis=0), live[first, cols]
+                        near = [c[first, cols] for c in near]
+                    esc = gone & ~live
+                    out = ib[esc]
+                    kind[out] = KIND_ESCAPED
+                    iters[out] = k if steps == 1 else k + first[esc]
+                    held = gone & live  # stopped by a point: the first listed
+                    for (aid, ph, _p), c in zip(apts, near):
+                        cap = held & c
+                        out = ib[cap]
+                        kind[out] = KIND_BASIN
+                        bid[out] = aid
+                        bph[out] = ph
+                        held &= ~cap
+                    keep = ~gone
+                    zb, ib = path[-1][keep], ib[keep]
+                else:
+                    zb = path[-1]
+                n = zb.size
+                z[w : w + n] = zb
+                idx[w : w + n] = ib
+                w += n
+            m, k = w, k + steps
     return kind, iters, bid, bph
 
 

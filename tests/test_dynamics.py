@@ -120,6 +120,20 @@ def test_find_roots_random_property():
             assert min(abs(r - t) for r, _ in roots) < 1e-7
 
 
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        # Roots of modulus 1e200: the iteration overflows to a nan double root.
+        [1e200, 1, 1e-200],
+        # The start radius (1e300 / 1e-300) ** (1/3) overflows: nan and inf roots.
+        [1e300, 1, 1, 1e-300],
+    ],
+)
+def test_find_roots_raises_on_non_finite_roots(coeffs):
+    with pytest.raises(NonConvergence, match="non-finite"):
+        find_roots(ComplexPoly(coeffs))
+
+
 def test_simple_poles_eval_and_pole_hit():
     f = simple_poles_map(ComplexPoly([0, 0, 1]), [(1 + 0j, 2, 0.5 + 0j)])
     z = 3 + 1j

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,13 +16,17 @@ from mcmlike.dynamics import (
     eval_map,
     eval_unchecked,
     reflections,
+    simple_poles_map,
 )
 from mcmlike.model_io import load_model
 from mcmlike.render import (
+    BLOCK,
+    FEW,
     KIND_BASIN,
     KIND_ESCAPED,
     KIND_UNDECIDED,
     PALETTE8,
+    ROUND,
     ClassGrid,
     RenderSpec,
     classify_grid,
@@ -439,6 +444,109 @@ def test_classify_points_reference_undecided_at_cap():
     kind, _, _, _ = assert_matches_reference(f, _seeds(spec), spec.max_iter)
     assert np.count_nonzero(kind == KIND_UNDECIDED) > 0
     assert np.count_nonzero(kind == KIND_ESCAPED) > 0
+
+
+# ---------------------------------------------------------------------------
+# Tiles: classify_points advances the open seeds in blocks of at most BLOCK
+# and, once at most FEW are open, in rounds of ROUND steps from step 1 on.
+# Doubling is exact in binary, so under z -> 2z (escape radius 3) the seed
+# 4.5 * 2**-j escapes on step j, 2**-j lands on the point 1 on step j, and 0
+# stays open.
+
+DOUBLE = ComplexPoly([0, 2])
+
+
+def _escaping_on(*steps):
+    return [4.5 * 2.0**-j for j in steps]
+
+
+def _landing_on(*steps):
+    return [2.0**-j for j in steps]
+
+
+def test_tiles_more_open_seeds_than_one_block():
+    # 2 * BLOCK + 17 seeds of modulus 0.5 .. 1.5 under z**2: all open at
+    # step 0, more than a block still open after step 1, a partial last
+    # block; moduli within about 0.003 of 1 stay open to step 12.
+    n = 2 * BLOCK + 17
+    r = 0.5 + np.arange(n) / n
+    pts = r * np.exp(2j * math.pi * 0.618034 * np.arange(n))
+    kind, iters, _, _ = assert_matches_reference(SQUARE, pts, 12, attractors=[((0j,), 1)])
+    assert np.count_nonzero((kind != KIND_ESCAPED) | (iters >= 2)) > BLOCK
+    assert len(set(iters[kind == KIND_ESCAPED].tolist())) > 4
+    assert np.count_nonzero(kind == KIND_BASIN) > BLOCK // 2
+    assert np.count_nonzero(kind == KIND_UNDECIDED) > 0
+
+
+def test_tiles_escape_at_round_boundaries():
+    # Rounds cover steps 1..ROUND, ROUND + 1..2 * ROUND, ...
+    steps = [0, 1, 2, ROUND - 1, ROUND, ROUND + 1, 2 * ROUND, 2 * ROUND + 1]
+    kind, iters, _, _ = assert_matches_reference(DOUBLE, np.array(_escaping_on(*steps)), 3 * ROUND)
+    assert list(kind) == [KIND_ESCAPED] * len(steps)
+    assert list(iters) == steps
+    assert len(steps) <= FEW
+
+
+@pytest.mark.parametrize("max_iter", [0, 1, ROUND // 2, ROUND + 3, 2 * ROUND + 5])
+def test_tiles_max_iter_against_rounds(max_iter):
+    # max_iter of 0, 1, below the round length, and not a multiple of it.
+    esc = [0, 1, ROUND // 2, ROUND, ROUND + 1, 2 * ROUND + 1]
+    land = [1, ROUND, ROUND + 1, 2 * ROUND + 5]
+    pts = np.array(_escaping_on(*esc) + _landing_on(*land) + [0.0])
+    kind, iters, _, _ = assert_matches_reference(
+        DOUBLE, pts, max_iter, attractors=[((1 + 0j,), 1)]
+    )
+    want = [f"E{j}" if j <= max_iter else "U" for j in esc]
+    want += ["B" if j <= max_iter else "U" for j in land] + ["U"]
+    got = [f"E{i}" if k == KIND_ESCAPED else "B" if k == KIND_BASIN else "U"
+           for k, i in zip(kind, iters)]
+    assert got == want
+
+
+def test_tiles_two_points_capture_in_one_round():
+    # Round 1 lands seeds on 1 (step 4) and 0.75 (steps 4 and 6); 1 + 0.75e-6
+    # is near 1 and 1 + 1.5e-6 at once and takes the first listed, while
+    # 1 + 1.5e-6 itself is near the third point only.  Round 2 lands one more.
+    attractors = [((1 + 0j,), 1), ((0.75 + 0j,), 1), ((1 + 1.5e-6,), 1)]
+    targets = [(1.0, 4), (0.75, 4), (0.75, 6), (1 + 0.75e-6, 5), (1 + 1.5e-6, 3),
+               (1.0, ROUND + 2)]
+    pts = np.array([p * 2.0**-j for p, j in targets])
+    kind, _, bid, bph = assert_matches_reference(DOUBLE, pts, 2 * ROUND, attractors=attractors)
+    assert list(kind) == [KIND_BASIN] * len(targets)
+    assert list(bid) == [0, 1, 1, 0, 2, 0] and list(bph) == [0] * len(targets)
+
+
+def test_tiles_pole_collision_inside_a_round():
+    # 2z + 2**-1000 / (z - 1): the term is below an ulp of 2z, so 2**-j lands
+    # on the pole 1 exactly on step j and escapes, non-finite, on step j + 1.
+    f = simple_poles_map(DOUBLE, [(1 + 0j, 1, 2.0**-1000)])
+    steps = [0, 1, ROUND - 1, ROUND + 4]
+    kind, iters, _, _ = assert_matches_reference(f, np.array(_landing_on(*steps)), 2 * ROUND)
+    assert list(kind) == [KIND_ESCAPED] * len(steps)
+    assert list(iters) == [j + 1 for j in steps]
+
+
+def test_tiles_bound_traced_memory():
+    # A 256x256 r_milnor window off its axis of symmetry.  numpy reports its
+    # arrays to tracemalloc.  The traced peak is the seeds' copy (which is
+    # also the open seeds' buffer), the index buffer and the four outputs,
+    # plus a few blocks of temporaries: 2.8 MB here, where one whole-array
+    # step at a time peaked at 5.5 MB.
+    mf = load_model(FIXTURES / "r_milnor.json")
+    f = mf.build_map()
+    attractors, _ = _render_attractors(mf, f)
+    spec = RenderSpec(map=f, width=256, height=256, center=0.1, attractors=attractors)
+    pts = _seeds(spec)
+    n = pts.size
+    tracemalloc.start()
+    try:
+        classify_points(f, pts, spec.max_iter, attractors=attractors, capture_tol=spec.capture_tol)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    buffers = n * (16 + 8)  # complex128 seeds, intp indices
+    outputs = n * (1 + 4 + 2 + 2)  # kind, iters, basin_id, basin_phase
+    assert peak <= buffers + outputs + 8 * 16 * BLOCK
 
 
 def _label_grid():
