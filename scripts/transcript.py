@@ -21,7 +21,10 @@ mirrored axis, odd sizes); render --text of r_milnor and f_cubic at 64x64
 with --center 0, where seeds on an axis stay open to max_iter, as it is and
 at --max-iter 1 and 100; last, verify of f_cubic at --lambda 0 and
 render --diagnostics of f_cubic at 8x8 with --ray-rmax inf, which exit 2
-and write nothing.
+and write nothing; then classify --poly of the README example and of a
+cubic whose root finder overflows (exit 2), plan of q_family with
+--seed nan, --seed 1e308 and --groetzsch-c nan (exit 2), and
+render --diagnostics of f_cubic at 8x8 with --ray-angle nan (exit 2).
 ``--only <subcommand>`` keeps that subcommand's rows alone.  Runs
 happen in process, in a scratch directory holding a copy of the fixtures,
 so paths in the output do not depend on the checkout.  Standard library
@@ -99,6 +102,12 @@ def rows(fixtures):
     yield ["verify", fx("f_cubic"), "--lambda", "0"]
     yield ["render", fx("f_cubic"), "--out", OUTPUTS[0], "--width", "8", "--height", "8",
            "--diagnostics", "--ray-rmax", "inf"]
+    yield ["classify", "--poly", "1,0,-3,2"]
+    yield ["classify", "--poly=0,1e200,0.5,3.3e-201"]
+    for extra in (["--seed", "nan"], ["--seed", "1e308"], ["--groetzsch-c", "nan", "--r", "0.5"]):
+        yield ["plan", fx("q_family"), *extra]
+    yield ["render", fx("f_cubic"), "--out", OUTPUTS[0], "--width", "8", "--height", "8",
+           "--diagnostics", "--ray-angle", "nan"]
 
 
 def sha(data):

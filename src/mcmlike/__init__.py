@@ -9,14 +9,12 @@ numerically; and renders or symbolically simulates the resulting dynamics.
 from .arith import (
     ConditionReport,
     CycleCondition,
-    ExactRational,
     InvalidPoleDataKey,
     PoleData,
     TransitionMatrix,
     check_condition,
     leading_eigenvalue,
     leading_eigenvalue_exact,
-    pole_data_degree,
     power_iteration_eigenvalue,
     transition_matrix,
 )
@@ -92,7 +90,6 @@ from .skew import (
     unburied_oracle,
 )
 from .surgery import (
-    AnnulusModulus,
     ClosureError,
     ConditionFails,
     EmptyPoleSet,
@@ -103,7 +100,6 @@ from .surgery import (
     ThresholdViolation,
     compute_M,
     compute_alpha_beta,
-    modulus_same_domain,
     plan_levels,
     r_threshold,
 )

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Mapping, Tuple
-
-ExactRational = Fraction
+from typing import Mapping, Tuple
 
 
 class InvalidPoleDataKey(Exception):
@@ -34,9 +32,6 @@ class PoleData:
     def from_dict(cls, entries: Mapping[Tuple[int, int], int]) -> "PoleData":
         items = tuple(sorted(((int(i), int(j)), int(d)) for (i, j), d in entries.items()))
         return cls(items)
-
-    def as_dict(self) -> Dict[Tuple[int, int], int]:
-        return {key: d for key, d in self.entries}
 
     def order(self, cycle: int, phase: int) -> int | None:
         for (i, j), d in self.entries:
@@ -63,11 +58,6 @@ class PoleData:
             if (i, j) in seen:
                 raise InvalidPoleDataKey(f"duplicate entry for cycle {i} phase {j}")
             seen.add((i, j))
-
-
-def pole_data_degree(pole_data: PoleData) -> int:
-    """Total degree added by the pole data (sum of all orders)."""
-    return pole_data.total_order()
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from .arith import (
     power_iteration_eigenvalue,
     transition_matrix,
 )
-from .dynamics import ComplexPoly, MapLike, orbit_points
+from .dynamics import ComplexPoly, MapLike, NonConvergence, orbit_points
 from .model import (
     HpcfpModel,
     MultiplierNotZero,
@@ -44,6 +44,7 @@ from .render import (
 )
 from .skew import census_at_depth, unburied_oracle
 from .surgery import (
+    ClosureError,
     ConditionFails,
     EmptyPoleSet,
     NoSlack,
@@ -168,7 +169,7 @@ def cmd_classify(args) -> int:
             tail = f" preperiod {a.preperiod}" if a.preperiod else ""
             print(f"critical {_cfmt(a.point)} mult {a.multiplicity} -> cycle {a.cycle} phase {a.phase}{tail}")
     print(f"rh check: {'OK' if riemann_hurwitz_check(model) else 'FAIL'}")
-    return 0 if model.is_hpcfp or mf.abstract is not None else 1
+    return 0 if model.is_hpcfp else 1
 
 
 def cmd_plan(args) -> int:
@@ -305,7 +306,7 @@ def cmd_render(args) -> int:
     )
     if args.diagnostics:
         check_symmetry_order(args.symmetry_order)
-        check_ray(args.ray_rmin, args.ray_rmax, args.ray_samples)
+        check_ray(args.ray_angle, args.ray_rmin, args.ray_rmax, args.ray_samples)
     grid = classify_grid(spec)
     write_ppm(grid, args.out)
     print(f"wrote {args.out} ({os.path.getsize(args.out)} bytes)")
@@ -404,8 +405,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    # ParseError and SchemaError are ValueErrors.
-    except (CliError, InvalidPoleDataKey, NotHpcfp, MultiplierNotZero, OSError, ValueError) as exc:
+    # ParseError and SchemaError are ValueErrors; NonConvergence and
+    # ClosureError are solver failures, not verdicts.
+    except (CliError, InvalidPoleDataKey, NotHpcfp, MultiplierNotZero, NonConvergence,
+            ClosureError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -45,6 +45,14 @@ class ModelWarning(UserWarning):
 # |multiplier| below this counts as super-attracting.
 SUPERATTRACTING_TOL = 1e-6
 
+# A critical orbit that comes back within this distance of an earlier
+# iterate has converged to a cycle, in classify_polynomial.
+CYCLE_TOL = 1e-9
+
+# An iterate within this relative distance of a cycle point lands on it, in
+# classify_polynomial.
+MATCH_TOL = 1e-6
+
 # Normal-form coefficients closer than this are equal in types_equal.
 TYPE_COEFF_TOL = 1e-8
 
@@ -136,16 +144,11 @@ def _canonical_labels(cycles) -> Tuple[List[int], List[int]]:
     return rotations, order
 
 
-def classify_polynomial(
-    p: ComplexPoly,
-    max_iter: int = 2000,
-    tol: float = 1e-9,
-    match_tol: float = 1e-6,
-) -> HpcfpModel:
+def classify_polynomial(p: ComplexPoly, max_iter: int = 2000) -> HpcfpModel:
     """Classify a polynomial through its critical orbits.
 
     Every critical point is iterated until it escapes or revisits (within
-    ``tol``) a previous iterate; bounded cycles are Newton-refined and must
+    CYCLE_TOL) a previous iterate; bounded cycles are Newton-refined and must
     be super-attracting.  Degrees n_{i,j} count 1 plus the multiplicities of
     the critical points sitting on the cycle point itself (preperiod 0).
 
@@ -168,7 +171,7 @@ def classify_polynomial(
     notes: List[str] = []
 
     for c, mult in crits:
-        orbit = iterate_orbit(p, c, max_iter=max_iter, escape_radius=radius, cycle_tol=tol)
+        orbit = iterate_orbit(p, c, max_iter=max_iter, escape_radius=radius, cycle_tol=CYCLE_TOL)
         if isinstance(orbit.outcome, Undecided):
             raise NotHpcfp(f"critical orbit from {c} undecided after {max_iter} iterations")
         if isinstance(orbit.outcome, Escaped):
@@ -214,13 +217,13 @@ def classify_polynomial(
         period = len(pts)
         pre, phase = None, None
         for k, zk in enumerate(orbit.samples):
-            hits = [j for j in range(period) if abs(zk - pts[j]) <= match_tol * (1.0 + abs(pts[j]))]
+            hits = [j for j in range(period) if abs(zk - pts[j]) <= MATCH_TOL * (1.0 + abs(pts[j]))]
             if hits:
                 pre, phase = k, hits[0]
                 break
         if pre is None:
             # Converged without any sample landing on the cycle within
-            # match_tol; treat as preperiodic at the convergence index.
+            # MATCH_TOL; treat as preperiodic at the convergence index.
             pre = orbit.outcome.convergence_index
             phase = min(range(period), key=lambda j: abs(orbit.samples[-1] - pts[j]))
             notes.append(f"critical {c} converged to cycle without landing inside match_tol")

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .dynamics import (
     MapLike,
@@ -129,18 +129,6 @@ class RadialProfile:
     kind: np.ndarray
     iters: np.ndarray
     alternations: int
-
-    @property
-    def samples(self) -> List[Tuple[float, str]]:
-        out = []
-        for r, k, it in zip(self.radii, self.kind, self.iters):
-            if k == KIND_ESCAPED:
-                out.append((float(r), f"E{int(it)}"))
-            elif k == KIND_BASIN:
-                out.append((float(r), "B"))
-            else:
-                out.append((float(r), "U"))
-        return out
 
 
 def _orbit(f: MapLike, z: np.ndarray, steps: int) -> np.ndarray:
@@ -316,7 +304,7 @@ def classify_grid(spec: RenderSpec) -> ClassGrid:
     )
 
 
-def check_ray(r_min: float, r_max: float, samples: int) -> None:
+def check_ray(angle: float, r_min: float, r_max: float, samples: int) -> None:
     """Raise ValueError unless radial_profile accepts these arguments."""
     if samples < 2:
         raise ValueError("samples must be >= 2")
@@ -324,6 +312,8 @@ def check_ray(r_min: float, r_max: float, samples: int) -> None:
         raise ValueError("need 0 < r_min < r_max")
     if not math.isfinite(r_max):
         raise ValueError(f"r_max {r_max} must be finite")
+    if not math.isfinite(angle):
+        raise ValueError(f"angle {angle} must be finite")
 
 
 def radial_profile(
@@ -332,7 +322,7 @@ def radial_profile(
     """Classify a geometric grid of radii along one ray from the center."""
     import numpy as np
 
-    check_ray(r_min, r_max, samples)
+    check_ray(angle, r_min, r_max, samples)
     t = np.arange(samples) / (samples - 1)
     radii = r_min * (r_max / r_min) ** t
     pts = spec.center + radii * np.exp(1j * angle)

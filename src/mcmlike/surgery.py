@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Tuple
 
 from .arith import PoleData, check_condition
 
@@ -108,21 +108,6 @@ class LevelPlan:
     point_iii: bool
 
 
-@dataclass
-class AnnulusModulus:
-    levelHigh: float
-    levelLow: float
-
-    def __post_init__(self):
-        if not (0.0 < self.levelLow < self.levelHigh < 1.0):
-            raise ValueError("need 0 < levelLow < levelHigh < 1")
-
-
-def modulus_same_domain(a: AnnulusModulus) -> float:
-    """Modulus of the annulus between two equipotentials of one domain."""
-    return math.log(a.levelHigh / a.levelLow) / (2.0 * math.pi)
-
-
 def _picked(pole_data: PoleData, cycle: int):
     phases = pole_data.picked_phases(cycle)
     orders = {j: pole_data.order(cycle, j) for j in phases}
@@ -159,8 +144,8 @@ def compute_alpha_beta(
     require_condition=False, constants are produced even when the condition
     fails (M <= 1); such constants carry no slack and admit no plan.
     """
-    if seed <= 0:
-        raise ValueError("seed must be positive")
+    if not 0 < seed < math.inf:
+        raise ValueError(f"seed {seed} must be positive and finite")
     pole_data.validate(model)
     phases, orders = _picked(pole_data, cycle)
     if not phases:
@@ -222,13 +207,17 @@ def compute_alpha_beta(
     return sc
 
 
+def _check_groetzsch_c(groetzsch_c: float) -> None:
+    if not 0 <= groetzsch_c < math.inf:
+        raise ValueError(f"groetzsch_c {groetzsch_c} must be >= 0 and finite")
+
+
 def r_threshold(sc: SurgeryConstants, groetzsch_c: float = 1.0) -> float:
     """Largest r* below which every non-recurrence level inequality holds.
 
     r* = exp(-max_j 2*pi*C / (d_{next(j)} * gap_j)).  C = 0 gives r* = 1.
     """
-    if groetzsch_c < 0:
-        raise ValueError("groetzsch_c must be >= 0")
+    _check_groetzsch_c(groetzsch_c)
     gaps = {j: sc.gap(j) for j in sc.phases}
     bad = [j for j, g in gaps.items() if g <= 0.0]
     if bad:
@@ -246,35 +235,28 @@ def plan_levels(
     sc: SurgeryConstants,
     r: float,
     groetzsch_c: float = 1.0,
-    mod_oracle: Optional[Mapping[int, float]] = None,
     strict: bool = True,
 ) -> LevelPlan:
     """Plan the three equipotential levels per pole phase at base level r.
 
     delta_j = beta_j + (2*pi/d_j) * mod(Gamma_{j+1}, Gamma_inf) / ln(1/r),
-    with the modulus taken from mod_oracle when supplied and otherwise
-    replaced by the Groetzsch upper bound C + (n_j/(2*pi)) * alpha_j *
-    ln(1/r), making delta an upper estimate.  Points checked: (i) level
-    ordering Lout > Lin >= Linf, (ii) the modulus identity (by
-    construction), (iii) delta_{next(j)} < chain_rhs(j).  With strict=True
-    a failing point raises; with strict=False the plan records the verdicts.
+    with the modulus replaced by the Groetzsch upper bound
+    C + (n_j/(2*pi)) * alpha_j * ln(1/r), making delta an upper estimate.
+    Points checked: (i) level ordering Lout > Lin >= Linf, (ii) the modulus
+    identity (by construction), (iii) delta_{next(j)} < chain_rhs(j).  With
+    strict=True a failing point raises; with strict=False the plan records
+    the verdicts.
     """
     if not (0.0 < r < 1.0):
         raise ValueError("r must lie in (0, 1)")
-    if groetzsch_c < 0:
-        raise ValueError("groetzsch_c must be >= 0")
+    _check_groetzsch_c(groetzsch_c)
     log_inv_r = math.log(1.0 / r)
     two_pi = 2.0 * math.pi
 
     delta: Dict[int, float] = {}
     mods: Dict[int, float] = {}
     for j in sc.phases:
-        if mod_oracle is not None and j in mod_oracle:
-            m = float(mod_oracle[j])
-            if m < 0:
-                raise ValueError(f"modulus oracle value at phase {j} must be >= 0")
-        else:
-            m = groetzsch_c + (sc.degrees[j] / two_pi) * sc.alpha[j] * log_inv_r
+        m = groetzsch_c + (sc.degrees[j] / two_pi) * sc.alpha[j] * log_inv_r
         mods[j] = m
         delta[j] = sc.beta[j] + (two_pi / sc.pole_orders[j]) * m / log_inv_r
 

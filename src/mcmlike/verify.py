@@ -545,7 +545,7 @@ def verify_family(
     condition_holds = condition_report.overall
 
     n = expected_model.degree
-    d_total = sum(d for _, d in expected_pole_data.entries)
+    d_total = expected_pole_data.total_order()
     deg = map_degree(f)
     degree_ok = deg == n + d_total
     if not degree_ok:

@@ -11,7 +11,6 @@ from mcmlike.arith import (
     check_condition,
     leading_eigenvalue,
     leading_eigenvalue_exact,
-    pole_data_degree,
     power_iteration_eigenvalue,
     transition_matrix,
 )
@@ -78,8 +77,8 @@ def test_pole_data_accessors():
     pd = PoleData.from_dict({(1, 1): 5, (1, 0): 7})
     assert pd.picked_phases(1) == (0, 1)
     assert pd.order(1, 1) == 5 and pd.order(1, 2) is None
-    assert pole_data_degree(pd) == 12
-    assert pd.as_dict() == {(1, 0): 7, (1, 1): 5}
+    assert pd.total_order() == 12
+    assert dict(pd.entries) == {(1, 0): 7, (1, 1): 5}
 
 
 def test_transition_matrix_structure():

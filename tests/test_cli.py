@@ -115,6 +115,24 @@ def test_classify_failures(run):
     assert code == 2
 
 
+def test_root_finder_failure_is_operational_error(run, tmp_path):
+    # P' has an Aberth start radius that overflows, so find_roots raises
+    # NonConvergence while the polynomial is classified.
+    coeffs = ["0", "1e200", "0.5", "3.3e-201"]
+    code, out, err = run("classify", "--poly=" + ",".join(coeffs))
+    assert code == 2 and out == ""
+    assert err == "error: non-finite root or residual\n"
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({
+        "polynomial": [[float(c), 0.0] for c in coeffs],
+        "pole_data": [{"cycle": 1, "phase": 0, "d": 1}],
+    }))
+    for cmd in ("check", "classify"):
+        code, out, err = run(cmd, str(path))
+        assert code == 2 and out == ""
+        assert err == "error: non-finite root or residual\n"
+
+
 def test_plan_q_defaults(run):
     code, out, _ = run("plan", fx("q_abstract"))
     assert code == 0
@@ -148,6 +166,23 @@ def test_plan_condition_fails(run):
 def test_plan_pole_free_cycle_is_operational_error(run):
     code, _, err = run("plan", fx("r_abstract"), "--cycle", "2")
     assert code == 2 and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--seed", "nan"], "seed nan must be positive and finite"),
+        (["--seed", "inf"], "seed inf must be positive and finite"),
+        # Finite, but the alpha recursion overflows.
+        (["--seed", "1e308"], "chain inequality not strict at phase 0 despite M > 1"),
+        (["--groetzsch-c", "nan", "--r", "0.5"], "groetzsch_c nan must be >= 0 and finite"),
+        (["--groetzsch-c", "inf", "--r", "0.5"], "groetzsch_c inf must be >= 0 and finite"),
+    ],
+)
+def test_plan_rejects_non_finite_constants(run, flags, message):
+    code, out, err = run("plan", fx("q_family"), *flags)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_plan_needs_pole_data(run, tmp_path):
@@ -427,6 +462,8 @@ def test_render_rejects_negative_max_iter(run, tmp_path):
         (["--ray-rmin", "0"], "need 0 < r_min < r_max"),
         (["--ray-rmax", "nan"], "need 0 < r_min < r_max"),
         (["--ray-rmax", "inf"], "r_max inf must be finite"),
+        (["--ray-angle", "nan"], "angle nan must be finite"),
+        (["--ray-angle", "inf"], "angle inf must be finite"),
     ],
 )
 def test_render_checks_diagnostics_arguments_before_rendering(run, tmp_path, flags, message):

@@ -125,7 +125,7 @@ def test_abstract_validation():
 def test_pole_data_validation_against_abstract():
     good = [{"cycle": 1, "phase": 0, "d": 2}]
     ok = loads_model(abstract_doc([{"period": 2, "degrees": [2, 2]}], pole_data=good))
-    assert ok.pole_data.as_dict() == {(1, 0): 2}
+    assert dict(ok.pole_data.entries) == {(1, 0): 2}
     with pytest.raises(SchemaError, match="phase 5"):
         loads_model(
             abstract_doc(
@@ -143,7 +143,7 @@ def test_pole_data_validation_against_abstract():
             {"polynomial": [[0, 0], [0, 0], [1, 0]], "pole_data": [{"cycle": 1, "phase": 7, "d": 1}]}
         )
     )
-    assert deferred.pole_data.as_dict() == {(1, 7): 1}
+    assert dict(deferred.pole_data.entries) == {(1, 7): 1}
 
 
 def simple_family(lam=(0.5, 0.0), location=(0, 0)):

@@ -181,7 +181,7 @@ def test_radial_alternations_near_pole():
     prof = radial_profile(spec, 0.1, 1e-3, 1.6, 4096)
     assert prof.alternations == 8
     assert prof.alternations >= 3
-    assert len(prof.samples) == 4096
+    assert len(prof.radii) == 4096
 
 
 def test_radial_control_polynomial_single_boundary():
@@ -213,11 +213,14 @@ def test_radial_validation():
         radial_profile(spec, 0.0, 2.0, 1.6, 16)
     # An infinite r_max made every sample after the first an infinite seed,
     # read as escaped.
-    for check in (check_ray, lambda *ray: radial_profile(spec, 0.0, *ray)):
+    for check in (check_ray, lambda *ray: radial_profile(spec, *ray)):
         with pytest.raises(ValueError, match="r_max inf must be finite"):
-            check(1e-3, math.inf, 16)
+            check(0.0, 1e-3, math.inf, 16)
         with pytest.raises(ValueError, match="need 0 < r_min < r_max"):
-            check(1e-3, math.nan, 16)
+            check(0.0, 1e-3, math.nan, 16)
+        for angle in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"angle {angle} must be finite"):
+                check(angle, 1e-3, 1.6, 16)
 
 
 def test_basin_and_exterior_classification():

@@ -8,14 +8,12 @@ import pytest
 from mcmlike.arith import PoleData, check_condition
 from mcmlike.model import from_abstract
 from mcmlike.surgery import (
-    AnnulusModulus,
     ConditionFails,
     EmptyPoleSet,
     NoSlack,
     ThresholdViolation,
     compute_M,
     compute_alpha_beta,
-    modulus_same_domain,
     plan_levels,
     r_threshold,
 )
@@ -181,23 +179,14 @@ def test_plan_parameter_validation():
         plan_levels(sc, 0.5, groetzsch_c=-1.0)
     with pytest.raises(ValueError):
         r_threshold(sc, groetzsch_c=-0.1)
+    for c in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"groetzsch_c {c} must be >= 0 and finite"):
+            r_threshold(sc, c)
+        with pytest.raises(ValueError, match=f"groetzsch_c {c} must be >= 0 and finite"):
+            plan_levels(sc, 0.5, c, strict=False)
 
 
-def test_modulus_oracle_override():
-    sc = q_constants()
-    plan = plan_levels(sc, 1e-6, mod_oracle={0: 0.0})
-    assert plan.delta[0] == sc.beta[0]
-    assert plan.point_i and plan.point_ii and plan.point_iii
-    with pytest.raises(ValueError):
-        plan_levels(sc, 1e-6, mod_oracle={0: -1.0})
-
-
-def test_modulus_same_domain():
-    a = AnnulusModulus(math.exp(-2.0 * math.pi), math.exp(-4.0 * math.pi))
-    assert abs(modulus_same_domain(a) - 1.0) <= 1e-15
-    with pytest.raises(ValueError):
-        AnnulusModulus(0.5, 0.5)
-    with pytest.raises(ValueError):
-        AnnulusModulus(1.5, 0.5)
-    with pytest.raises(ValueError):
-        AnnulusModulus(0.5, 0.0)
+@pytest.mark.parametrize("seed", [0.0, -1.0, math.nan, math.inf])
+def test_seed_must_be_positive_and_finite(seed):
+    with pytest.raises(ValueError, match="seed .* must be positive and finite"):
+        q_constants(seed)
