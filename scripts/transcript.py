@@ -24,7 +24,10 @@ render --diagnostics of f_cubic at 8x8 with --ray-rmax inf, which exit 2
 and write nothing; then classify --poly of the README example and of a
 cubic whose root finder overflows (exit 2), plan of q_family with
 --seed nan, --seed 1e308 and --groetzsch-c nan (exit 2), and
-render --diagnostics of f_cubic at 8x8 with --ray-angle nan (exit 2).
+render --diagnostics of f_cubic at 8x8 with --ray-angle nan (exit 2);
+last, plan of q_family with --seed 1e300 (its levels underflow: exit 1),
+--seed 1e-300, --cycle 5 and --r 1e-320 (exit 2), and render of q_family
+at 4x4 with --half-width 1e308 (the pixel pitch overflows: exit 2).
 ``--only <subcommand>`` keeps that subcommand's rows alone.  Runs
 happen in process, in a scratch directory holding a copy of the fixtures,
 so paths in the output do not depend on the checkout.  Standard library
@@ -108,6 +111,10 @@ def rows(fixtures):
         yield ["plan", fx("q_family"), *extra]
     yield ["render", fx("f_cubic"), "--out", OUTPUTS[0], "--width", "8", "--height", "8",
            "--diagnostics", "--ray-angle", "nan"]
+    for extra in (["--seed", "1e300"], ["--seed", "1e-300"], ["--cycle", "5"], ["--r", "1e-320"]):
+        yield ["plan", fx("q_family"), *extra]
+    yield ["render", fx("q_family"), "--out", OUTPUTS[0], "--width", "4", "--height", "4",
+           "--half-width", "1e308"]
 
 
 def sha(data):

@@ -109,10 +109,15 @@ class TransitionMatrix:
         return prod
 
 
-def transition_matrix(model, pole_data: PoleData, cycle: int) -> TransitionMatrix:
-    pole_data.validate(model)
+def check_cycle_index(model, cycle: int) -> None:
+    """Raise InvalidPoleDataKey unless cycle is a 1-based cycle index of model."""
     if not (1 <= cycle <= len(model.cycles)):
-        raise InvalidPoleDataKey(f"cycle {cycle} out of range")
+        raise InvalidPoleDataKey(f"cycle {cycle} out of range (model has {len(model.cycles)})")
+
+
+def transition_matrix(model, pole_data: PoleData, cycle: int) -> TransitionMatrix:
+    check_cycle_index(model, cycle)
+    pole_data.validate(model)
     cyc = model.cycles[cycle - 1]
     p = cyc.period
     rows = [[Fraction(0)] * p for _ in range(p)]

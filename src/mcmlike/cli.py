@@ -112,8 +112,6 @@ def cmd_check(args) -> int:
 def cmd_eig(args) -> int:
     mf = _load(args.model)
     model, pd = _resolve(mf)
-    if not (1 <= args.cycle <= len(model.cycles)):
-        raise CliError(f"cycle {args.cycle} out of range (model has {len(model.cycles)})")
     tm = transition_matrix(model, pd, args.cycle)
     prod, period = leading_eigenvalue_exact(tm)
     lam = leading_eigenvalue(tm)
@@ -188,8 +186,8 @@ def cmd_plan(args) -> int:
         print(f"no slack: {exc}")
         return 1
     r = args.r if args.r is not None else rstar / 2
-    if not (0 < r < 1):
-        raise CliError(f"r must be in (0,1), got {r}")
+    if args.r is None and r == 0:
+        raise CliError(f"default r = r*/2 underflows to 0 (r* = {rstar:.15g})")
     plan = plan_levels(sc, r, args.groetzsch_c, strict=False)
     print(f"cycle {args.cycle}: period {sc.period} pole phases {','.join(str(j) for j in sc.phases)}")
     print(f"M {sc.M:.15g}")

@@ -588,8 +588,12 @@ def iterate_orbit(
     Outcomes: Escaped (first index beyond the escape radius, trap-door
     passage data), ConvergedToCycle (revisitation within cycle_tol after a
     short transient; smallest period wins), or Undecided at max_iter.
-    A PoleHit mid-orbit counts as an escape whose passage point is the
-    colliding iterate.
+
+    Each iterate's pole distances are measured once.  They give its
+    approach (the nearest pole, the first on ties) and, before it is
+    evaluated, its collision: the first pole within POLE_COLLISION_RTOL *
+    (1 + |a|), as ``eval_map`` checks.  A collision counts as an escape
+    whose passage point is the colliding iterate.
 
     Revisitation: iterate k revisits the latest j in
     [max(CYCLE_TRANSIENT, k - PERIOD_WINDOW), k - 1] with
@@ -599,6 +603,7 @@ def iterate_orbit(
     """
     escape_radius = checked_escape_radius(f, escape_radius)
     poles = [a for a, _ in pole_orders(f)]
+    bars = [POLE_COLLISION_RTOL * (1.0 + abs(a)) for a in poles]
     rec = OrbitRecord(start=z0, samples=[z0])
     # The floor R * 2**-48 keeps every cell index below 2**48 (|z| <= R),
     # so rounding in z / side moves an index by less than the half cell
@@ -607,41 +612,16 @@ def iterate_orbit(
     side = max(2.0 * cycle_tol, escape_radius * 2.0**-48) if cycle_tol > 0 else 0.0
     cells = {}
 
-    def approach(z):
-        if not poles:
-            return None, float("inf")
-        best_k, best_d = 0, abs(z - poles[0])
-        for k in range(1, len(poles)):
-            d = abs(z - poles[k])
-            if d < best_d:
-                best_k, best_d = k, d
-        return best_k, best_d
-
-    pk, pd = approach(z0)
-    passage, passage_pole, passage_dist = z0, pk, pd
-
     z = z0
-    if abs(z) > escape_radius:
-        rec.outcome = Escaped(0, z0, z0, pk, pd)
-        return rec
-
-    for k in range(1, max_iter + 1):
-        try:
-            z_new = eval_map(f, z)
-        except PoleHit as hit:
-            rec.outcome = Escaped(k, z, z, hit.pole_index, abs(z - hit.location))
+    for k in range(max_iter + 1):
+        # z is iterate k.  Its passage replaces an earlier one on ties.
+        ds = [abs(z - a) for a in poles]
+        pd = min(ds, default=math.inf)
+        if not k or pd <= passage_dist:
+            passage, passage_pole, passage_dist = z, ds.index(pd) if ds else None, pd
+        if not k and abs(z) > escape_radius:
+            rec.outcome = Escaped(0, z, z, passage_pole, pd)
             return rec
-        if not (math.isfinite(z_new.real) and math.isfinite(z_new.imag)):
-            rec.outcome = Escaped(k, z, passage, passage_pole, passage_dist)
-            return rec
-        rec.samples.append(z_new)
-        if abs(z_new) > escape_radius:
-            rec.outcome = Escaped(k, z, passage, passage_pole, passage_dist)
-            return rec
-        pk, pd = approach(z_new)
-        if pd <= passage_dist:
-            passage, passage_pole, passage_dist = z_new, pk, pd
-        z = z_new
         if k >= CYCLE_TRANSIENT and side:
             lo = max(CYCLE_TRANSIENT, k - PERIOD_WINDOW)
             cx, cy = math.floor(z.real / side), math.floor(z.imag / side)
@@ -658,5 +638,20 @@ def iterate_orbit(
                 rec.outcome = ConvergedToCycle(k - best, rec.samples[best], best)
                 return rec
             cells.setdefault((cx, cy), []).append(k)
+        if k == max_iter:
+            break
+        for j, d in enumerate(ds):
+            if d <= bars[j]:
+                rec.outcome = Escaped(k + 1, z, z, j, d)
+                return rec
+        z_new = eval_unchecked(f, z)
+        if not abs(z_new) <= escape_radius:
+            # A finite escaping iterate is kept; a non-finite one is not.
+            if math.isfinite(z_new.real) and math.isfinite(z_new.imag):
+                rec.samples.append(z_new)
+            rec.outcome = Escaped(k + 1, z, passage, passage_pole, passage_dist)
+            return rec
+        rec.samples.append(z_new)
+        z = z_new
     rec.outcome = Undecided()
     return rec

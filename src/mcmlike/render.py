@@ -90,6 +90,8 @@ class RenderSpec:
             raise ValueError("width and height must be >= 1")
         if not 0 < self.half_width < math.inf:
             raise ValueError("half_width must be positive and finite")
+        if self.pitch == math.inf:
+            raise ValueError(f"pixel pitch 2 * half_width / width = {self.pitch} must be finite")
         if self.max_iter < 0:
             raise ValueError(f"max_iter {self.max_iter} must be >= 0")
         center = complex(self.center)

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from .arith import PoleData, check_condition
+from .arith import PoleData, check_condition, check_cycle_index
 
 
 class EmptyPoleSet(Exception):
@@ -121,6 +121,7 @@ def _m_from_product(product, phase_count: int) -> float:
 
 def compute_M(model, pole_data: PoleData, cycle: int) -> float:
     """M = (cycle product)**(-1/(2|J_i|)) for the pole phases J_i of cycle."""
+    check_cycle_index(model, cycle)
     pole_data.validate(model)
     phases, _ = _picked(pole_data, cycle)
     if not phases:
@@ -144,6 +145,7 @@ def compute_alpha_beta(
     require_condition=False, constants are produced even when the condition
     fails (M <= 1); such constants carry no slack and admit no plan.
     """
+    check_cycle_index(model, cycle)
     if not 0 < seed < math.inf:
         raise ValueError(f"seed {seed} must be positive and finite")
     pole_data.validate(model)
@@ -242,15 +244,19 @@ def plan_levels(
     delta_j = beta_j + (2*pi/d_j) * mod(Gamma_{j+1}, Gamma_inf) / ln(1/r),
     with the modulus replaced by the Groetzsch upper bound
     C + (n_j/(2*pi)) * alpha_j * ln(1/r), making delta an upper estimate.
-    Points checked: (i) level ordering Lout > Lin >= Linf, (ii) the modulus
-    identity (by construction), (iii) delta_{next(j)} < chain_rhs(j).  With
-    strict=True a failing point raises; with strict=False the plan records
-    the verdicts.
+    Points checked: (i) level ordering alpha < beta <= delta and, as the
+    levels round (large exponents underflow them to 0), Lout > Lin >= Linf,
+    (ii) the modulus identity (by construction), (iii) delta_{next(j)} <
+    chain_rhs(j).  With strict=True a failing point raises; with
+    strict=False the plan records the verdicts.  1/r must be finite.
     """
     if not (0.0 < r < 1.0):
-        raise ValueError("r must lie in (0, 1)")
+        raise ValueError(f"r must be in (0,1), got {r}")
     _check_groetzsch_c(groetzsch_c)
-    log_inv_r = math.log(1.0 / r)
+    inv_r = 1.0 / r
+    if inv_r == math.inf:
+        raise ValueError(f"1/r overflows at r = {r}")
+    log_inv_r = math.log(inv_r)
     two_pi = 2.0 * math.pi
 
     delta: Dict[int, float] = {}
@@ -264,7 +270,8 @@ def plan_levels(
         j: (r ** sc.alpha[j], r ** sc.beta[j], r ** delta[j]) for j in sc.phases
     }
 
-    unordered = [j for j in sc.phases if not sc.alpha[j] < sc.beta[j] <= delta[j]]
+    unordered = [j for j, (lout, lin, linf) in levels.items()
+                 if not (sc.alpha[j] < sc.beta[j] <= delta[j] and lout > lin >= linf)]
     point_ii = all(
         abs((delta[j] - sc.beta[j]) * log_inv_r / two_pi - mods[j] / sc.pole_orders[j])
         <= 1e-12 * (1.0 + mods[j] / sc.pole_orders[j])

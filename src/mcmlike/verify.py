@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Set, Tuple
 
 from .arith import ConditionReport, PoleData, check_condition
 from .dynamics import (
@@ -86,7 +86,6 @@ class CriticalOrbitEntry:
     multiplicity: int
     record: OrbitRecord
     classification: object
-    t_c: Optional[int]
     consistent: bool
 
 
@@ -414,6 +413,35 @@ def _match_poles_to_domains(
     return tuple(out)
 
 
+def _orbit_verdict(
+    c: complex, out, model: HpcfpModel, doors: Set[int], touched: Set[int], params: VerifyParams
+) -> Tuple[object, bool, Optional[str]]:
+    """(classification, consistent, note) of the orbit outcome ``out`` of
+    free critical point c; the note is None for a consistent orbit.  doors
+    holds the indices of the poles in pole-data domains, touched the indices
+    of the cycles that carry pole data.
+    """
+    if isinstance(out, Undecided):
+        return out, False, f"critical {c}: undecided after {params.max_iter} iterations"
+    if isinstance(out, Escaped):
+        pk = out.nearest_pole_index
+        if pk in doors and out.pole_distance <= params.pole_ball:
+            return EscapesViaTrapDoor(pk, out.pole_distance), True, None
+        return InBasinOfInfinityDirectly(), False, (
+            f"critical {c}: escaped without trap-door passage "
+            f"(nearest pole {pk}, distance {out.pole_distance:.3g})"
+        )
+    # Converged: match against model cycles.
+    rep = out.representative
+    best = _nearest_cycle_point(model, rep)
+    if best is not None and best[0] <= params.cycle_match_tol * (1.0 + abs(rep)):
+        cid = best[1]
+        if cid in touched:
+            return ConvergesToBoundedCycle(cid), False, f"critical {c}: converged to touched cycle {cid}"
+        return ConvergesToBoundedCycle(cid), True, None
+    return ConvergesToBoundedCycle(-1), False, f"critical {c}: converged away from every model cycle"
+
+
 def classify_critical_orbits(
     f: MapLike,
     model: HpcfpModel,
@@ -429,74 +457,24 @@ def classify_critical_orbits(
     families).  Bounded orbits must converge near an untouched model cycle.
     """
     params = params or VerifyParams()
-    poles = [a for a, _ in pole_orders(f)]
     pole_domains = _match_poles_to_domains(f, model, params.match_tol)
     picked = {key for key, _ in pole_data.entries}
+    doors = {k for k, dom in enumerate(pole_domains) if dom in picked}
     touched_cycles = {i for (i, _), _ in pole_data.entries}
     radius = checked_escape_radius(f, params.escape_radius)
 
     entries = []
     notes: List[str] = []
-    door_poles = [
-        (k, poles[k])
-        for k in range(len(poles))
-        if pole_domains[k] is not None and pole_domains[k] in picked
-    ]
-
     for c, mult in census.free_criticals:
         rec = iterate_orbit(
             f, c, max_iter=params.max_iter, escape_radius=radius, cycle_tol=params.cycle_tol
         )
-        t_c = None
-        for k in range(1, len(rec.samples)):
-            zk = rec.samples[k]
-            if any(abs(zk - a) <= params.pole_ball for _, a in door_poles):
-                t_c = k
-                break
-        out = rec.outcome
-        if isinstance(out, Undecided):
-            entries.append(CriticalOrbitEntry(c, mult, rec, Undecided(), t_c, False))
-            notes.append(f"critical {c}: undecided after {params.max_iter} iterations")
-            continue
-        if isinstance(out, Escaped):
-            pk = out.nearest_pole_index
-            dom = pole_domains[pk] if pk is not None else None
-            if (
-                pk is not None
-                and out.pole_distance <= params.pole_ball
-                and dom is not None
-                and dom in picked
-            ):
-                entries.append(
-                    CriticalOrbitEntry(
-                        c, mult, rec, EscapesViaTrapDoor(pk, out.pole_distance), t_c, True
-                    )
-                )
-            else:
-                entries.append(
-                    CriticalOrbitEntry(c, mult, rec, InBasinOfInfinityDirectly(), t_c, False)
-                )
-                notes.append(
-                    f"critical {c}: escaped without trap-door passage "
-                    f"(nearest pole {pk}, distance {out.pole_distance:.3g})"
-                )
-            continue
-        # Converged: match against model cycles.
-        rep = out.representative
-        best = _nearest_cycle_point(model, rep)
-        if best is not None and best[0] <= params.cycle_match_tol * (1.0 + abs(rep)):
-            cid = best[1]
-            ok = cid not in touched_cycles
-            entries.append(
-                CriticalOrbitEntry(c, mult, rec, ConvergesToBoundedCycle(cid), t_c, ok)
-            )
-            if not ok:
-                notes.append(f"critical {c}: converged to touched cycle {cid}")
-        else:
-            entries.append(
-                CriticalOrbitEntry(c, mult, rec, ConvergesToBoundedCycle(-1), t_c, False)
-            )
-            notes.append(f"critical {c}: converged away from every model cycle")
+        classification, consistent, note = _orbit_verdict(
+            c, rec.outcome, model, doors, touched_cycles, params
+        )
+        entries.append(CriticalOrbitEntry(c, mult, rec, classification, consistent))
+        if note is not None:
+            notes.append(note)
     return CriticalOrbitReport(entries=entries, pole_domains=pole_domains, notes=notes)
 
 

@@ -63,8 +63,10 @@ def test_eig_nd2_and_cycle_range(run):
     code, out, _ = run("eig", fx("nd2_family"))
     assert code == 1
     assert "lambda 1.000000000000" in out
-    code, _, err = run("eig", fx("q_abstract"), "--cycle", "7")
-    assert code == 2 and err.startswith("error:")
+    for cycle in ("7", "0", "5"):
+        code, out, err = run("eig", fx("q_abstract"), "--cycle", cycle)
+        assert code == 2 and out == ""
+        assert err == f"error: cycle {cycle} out of range (model has 1)\n"
 
 
 def test_eig_z3(run):
@@ -168,6 +170,22 @@ def test_plan_pole_free_cycle_is_operational_error(run):
     assert code == 2 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("cycle", ["0", "5"])
+def test_plan_cycle_out_of_range(run, cycle):
+    code, out, err = run("plan", fx("q_family"), "--cycle", cycle)
+    assert code == 2 and out == ""
+    assert err == f"error: cycle {cycle} out of range (model has 1)\n"
+
+
+def test_plan_levels_ordered_checks_the_printed_levels(run):
+    # The exponents are ordered, but every printed level underflows to 0.
+    code, out, _ = run("plan", fx("q_family"), "--seed", "1e300")
+    assert code == 1
+    assert "phase 0: Lout 0 Lin 0 Linf 0" in out.splitlines()
+    assert "levels ordered: FAIL" in out.splitlines()
+    assert out.endswith("plan: FAIL\n")
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [
@@ -177,6 +195,10 @@ def test_plan_pole_free_cycle_is_operational_error(run):
         (["--seed", "1e308"], "chain inequality not strict at phase 0 despite M > 1"),
         (["--groetzsch-c", "nan", "--r", "0.5"], "groetzsch_c nan must be >= 0 and finite"),
         (["--groetzsch-c", "inf", "--r", "0.5"], "groetzsch_c inf must be >= 0 and finite"),
+        # Finite, but r* = exp(-x) underflows, or 1/r overflows.
+        (["--seed", "1e-300"], "default r = r*/2 underflows to 0 (r* = 0)"),
+        (["--groetzsch-c", "1e300"], "default r = r*/2 underflows to 0 (r* = 0)"),
+        (["--r", "1e-320"], "1/r overflows at r = 1e-320"),
     ],
 )
 def test_plan_rejects_non_finite_constants(run, flags, message):
@@ -383,8 +405,18 @@ def test_render_rejects_non_finite_escape_radius(run, tmp_path, radius):
     assert not out_path.exists()
 
 
-@pytest.mark.parametrize("half_width", ["nan", "inf"])
-def test_render_rejects_non_finite_half_width(run, tmp_path, half_width):
+@pytest.mark.parametrize(
+    "half_width, message",
+    [
+        ("nan", "half_width must be positive and finite"),
+        ("inf", "half_width must be positive and finite"),
+        # Finite, but the pitch 2 * half_width / width overflows, and
+        # inf * 0 would make the centre row's seeds nan.
+        ("1e308", "pixel pitch 2 * half_width / width = inf must be finite"),
+    ],
+    ids=["nan", "inf", "1e308"],
+)
+def test_render_rejects_non_finite_half_width(run, tmp_path, half_width, message):
     out_path = tmp_path / "f.ppm"
     code, out, err = run(
         "render", fx("f_cubic"),
@@ -392,7 +424,7 @@ def test_render_rejects_non_finite_half_width(run, tmp_path, half_width):
         "--half-width", half_width,
     )
     assert code == 2 and out == ""
-    assert err.startswith("error: half_width must be positive and finite")
+    assert err.startswith(f"error: {message}")
     assert not out_path.exists()
 
 

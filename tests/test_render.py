@@ -269,6 +269,9 @@ def test_render_spec_validation():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite"):
             RenderSpec(map=SQUARE, width=8, height=8, half_width=bad)
+    # Finite, but 2 * half_width overflows.
+    with pytest.raises(ValueError, match="pixel pitch .* = inf must be finite"):
+        RenderSpec(map=SQUARE, width=8, height=8, half_width=1e308)
     for bad in (complex("nan"), complex("infj"), complex(1, float("nan")), float("-inf")):
         with pytest.raises(ValueError, match="center .* must be finite"):
             RenderSpec(map=SQUARE, width=8, height=8, center=bad)

@@ -5,11 +5,12 @@ import random
 
 import pytest
 
-from mcmlike.arith import PoleData, check_condition
+from mcmlike.arith import InvalidPoleDataKey, PoleData, check_condition, transition_matrix
 from mcmlike.model import from_abstract
 from mcmlike.surgery import (
     ConditionFails,
     EmptyPoleSet,
+    LevelOrderViolation,
     NoSlack,
     ThresholdViolation,
     compute_M,
@@ -83,6 +84,11 @@ def test_pole_free_cycle_rejected():
         compute_M(model, pd, 2)
     with pytest.raises(EmptyPoleSet):
         compute_alpha_beta(model, pd, 2)
+    # An index outside the model is named as such, before pole phases are looked up.
+    for cycle in (0, 5):
+        for fn in (compute_M, compute_alpha_beta, transition_matrix):
+            with pytest.raises(InvalidPoleDataKey, match=f"^cycle {cycle} out of range \\(model has 2\\)$"):
+                fn(model, pd, cycle)
 
 
 def test_condition_failure_blocks_constants():
@@ -184,6 +190,21 @@ def test_plan_parameter_validation():
             r_threshold(sc, c)
         with pytest.raises(ValueError, match=f"groetzsch_c {c} must be >= 0 and finite"):
             plan_levels(sc, 0.5, c, strict=False)
+    # In (0, 1), but 1/r overflows: delta would be nan.
+    for tiny in (1e-320, 5e-324):
+        with pytest.raises(ValueError, match="1/r overflows"):
+            plan_levels(sc, tiny, strict=False)
+
+
+def test_level_order_covers_the_printed_levels():
+    # The exponents are ordered, but every level r**x underflows to 0.
+    sc = q_constants(1e300)
+    plan = plan_levels(sc, 0.5, strict=False)
+    assert sc.alpha[0] < sc.beta[0] <= plan.delta[0]
+    assert plan.levels[0] == (0.0, 0.0, 0.0)
+    assert not plan.point_i and plan.point_iii
+    with pytest.raises(LevelOrderViolation):
+        plan_levels(sc, 0.5)
 
 
 @pytest.mark.parametrize("seed", [0.0, -1.0, math.nan, math.inf])

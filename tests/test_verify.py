@@ -54,7 +54,6 @@ def test_verify_q_family():
     entries = verdict.orbit_report.entries
     assert all(isinstance(e.classification, EscapesViaTrapDoor) for e in entries)
     assert all(e.classification.passage_distance <= 0.1 for e in entries)
-    assert all(e.t_c is not None for e in entries)
     assert not verdict.untouched  # the only cycle is touched
 
 
