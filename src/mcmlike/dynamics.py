@@ -55,8 +55,17 @@ def _trim(coeffs: Sequence[complex]) -> Tuple[complex, ...]:
     return tuple(cs) if cs else (0j,)
 
 
+class _Map:
+    """Base of the map types.  A map keeps what it derives on first use on
+    itself (``_evaluator``, a closure, and a polynomial's ``_derivative``);
+    a pickled map leaves those out and derives them again."""
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
+
+
 @dataclass
-class ComplexPoly:
+class ComplexPoly(_Map):
     """Polynomial with ascending complex coefficients: coeffs[k] * z**k.
 
     As a map it is its own base with no pole terms.
@@ -86,34 +95,27 @@ class ComplexPoly:
     def eval(self, z):
         """Horner from the leading coefficient; z may be a complex ndarray.
 
-        Exact identity operations are skipped: a leading coefficient 1 starts
-        from z instead of 1 * z, and a zero coefficient adds nothing.  For
-        finite operands x * 1 = x and x + 0 = x up to the sign of a zero, so
-        every remaining product and sum rounds as in the full scheme.  Arrays
-        this call made are updated in place (the same ufunc, the same bits);
-        z itself is never written to nor returned.
+        Runs the map's compiled evaluator (``eval_unchecked``'s scheme, which
+        for a polynomial is this Horner).  Exact identity operations are
+        skipped: a leading coefficient 1 starts from z instead of 1 * z, and a
+        zero coefficient adds nothing.  For finite operands x * 1 = x and
+        x + 0 = x up to the sign of a zero, so every remaining product and
+        sum rounds as in the full scheme.  Arrays this call made are updated
+        in place (the same ufunc, the same bits); z itself is never written
+        to nor returned.
         """
-        lead, *lower = reversed(self.coeffs)
-        if not lower:
-            return lead
-        acc = z if lead == 1 else lead * z
-        for k, c in enumerate(lower):
-            if k:
-                if acc is z:
-                    acc = acc * z
-                else:
-                    acc *= z
-            if c != 0:
-                if acc is z:
-                    acc = acc + c
-                else:
-                    acc += c
-        return acc * lead if acc is z else acc
+        return _evaluator(self)(z)
 
     def derivative(self) -> "ComplexPoly":
-        if self.degree == 0:
-            return ComplexPoly((0j,))
-        return ComplexPoly(tuple(k * c for k, c in enumerate(self.coeffs) if k > 0))
+        """The derivative.  It is kept on self while self's coefficient tuple
+        stays the same object, so repeated calls (``eval_map_derivative`` at
+        every Newton step) share one polynomial and its bound evaluator."""
+        kept = self.__dict__.get("_derivative")
+        if kept is None or kept[0] is not self.coeffs:
+            cs = self.coeffs
+            dp = ComplexPoly(tuple(k * c for k, c in enumerate(cs) if k > 0) or (0j,))
+            kept = self.__dict__["_derivative"] = (cs, dp)
+        return kept[1]
 
     def __add__(self, other: "ComplexPoly") -> "ComplexPoly":
         a, b = self.coeffs, other.coeffs
@@ -156,7 +158,7 @@ PoleFactor = Tuple[complex, int]  # (location, order)
 
 
 @dataclass
-class RationalMapExpr:
+class RationalMapExpr(_Map):
     """f = base + sum over terms (c, factors) of c / prod (z - a)^d.
 
     Every pole (a, d) sits in exactly one term.  ``simple_poles_map``
@@ -228,29 +230,113 @@ def eval_unchecked(f: MapLike, z):
     results differ only in how Python and numpy round complex products and
     quotients.
 
-    The base is ``ComplexPoly.eval``, which skips 1 * z and + 0.  A pole at
-    a = 0 uses z itself, not z - 0, and a denominator starts from its first
-    factor, not from 1 * (z - a).  For finite operands these identities hold
-    up to the sign of a zero, so finite results have the values of the full
-    scheme and non-finite ones stay non-finite.  Arrays this call made are
-    updated in place (``*=``, ``+=``: the same ufunc, the same bits); on a
-    Python complex that is a rebinding.  z itself is never written to nor
-    returned.
+    Horner skips 1 * z and + 0, a pole at a = 0 uses z itself, not z - 0,
+    and a denominator starts from its first factor, not from 1 * (z - a).
+    For finite operands these identities hold up to the sign of a zero, so
+    finite results have the values of the full scheme and non-finite ones
+    stay non-finite.  Arrays this call made are updated in place (``*=``,
+    ``+=``: the same ufunc, the same bits); on a Python complex that is a
+    rebinding.  z itself is never written to nor returned.
+
+    The scheme runs as straight-line code compiled once per map shape (see
+    ``_source``) and bound to f's constants on f's first evaluation, so it
+    performs the same operations in the same order on the same operands as
+    the scheme written with loops and branches, and gives the same bits.
+    ``ComplexPoly.eval`` is this evaluator on a map without pole terms.
     """
-    val = f.base.eval(z)
+    return _evaluator(f)(z)
+
+
+# Compiled evaluators.  The operations of the scheme depend only on the
+# map's shape: whether the leading coefficient is 1, which lower
+# coefficients are nonzero and, term by term, which poles are off 0 and
+# their orders.  Each shape is compiled once; the coefficients and pole
+# locations are arguments of its factory and never appear in its source.
+# At most EVALUATOR_SHAPES factories are kept; the oldest is dropped first.
+EVALUATOR_SHAPES = 256
+_factories: dict = {}
+
+
+def _shape(f: MapLike):
+    """(shape key, constants) of f; the constants in the factory's order."""
+    lead, *lower = reversed(f.base.coeffs)
+    consts = [lead]
+    consts += [c for c in lower if c != 0]
+    terms = []
     for c, factors in f.terms:
-        den = None
-        for a, d in factors:
-            w = z - a if a != 0 else z
+        consts.append(c)
+        consts += [a for a, _ in factors if a != 0]
+        terms.append(tuple((a != 0, d) for a, d in factors))
+    return (lead == 1, tuple(c != 0 for c in lower), tuple(terms)), consts
+
+
+def _source(key) -> str:
+    """Source of the factory of one shape: the scheme with every branch
+    decided.  ``v`` is the value, ``d<t>`` term t's denominator and
+    ``w<t>_<i>`` its factor z - a_i.  A value that may be z or a factor
+    still in use is rebound (``x = x * w``); one the call made is updated in
+    place (``x *= w``)."""
+    lead_is_one, lower_nonzero, terms = key
+    args: List[str] = []
+
+    def const() -> str:
+        args.append(f"k{len(args)}")
+        return args[-1]
+
+    lead = const()
+    body = []
+    if not lower_nonzero:
+        body.append(f"v = {lead}")
+    else:
+        v_is_z = lead_is_one
+        body.append("v = z" if lead_is_one else f"v = {lead} * z")
+        for i, nonzero in enumerate(lower_nonzero):
+            if i:
+                body.append("v = v * z" if v_is_z else "v *= z")
+                v_is_z = False
+            if nonzero:
+                body.append(f"v = v + {const()}" if v_is_z else f"v += {const()}")
+                v_is_z = False
+        if v_is_z:
+            body.append(f"v = z * {lead}")
+    for t, factors in enumerate(terms):
+        c = const()
+        den = None  # the name the denominator is, until it is a product
+        for i, (off_zero, d) in enumerate(factors):
+            w = "z"
+            if off_zero:
+                w = f"w{t}_{i}"
+                body.append(f"{w} = z - {const()}")
             for _ in range(d):
                 if den is None:
+                    body.append(f"d{t} = {w}")
                     den = w
-                elif den is w or den is z:
-                    den = den * w
+                elif den in (w, "z"):
+                    body.append(f"d{t} = d{t} * {w}")
+                    den = ""
                 else:
-                    den *= w
-        val += c if den is None else c / den
-    return val
+                    body.append(f"d{t} *= {w}")
+        body.append(f"v += {c}" if den is None else f"v += {c} / d{t}")
+    lines = "".join(f"        {line}\n" for line in body)
+    return f"def factory({', '.join(args)}):\n    def ev(z):\n{lines}        return v\n    return ev\n"
+
+
+def _evaluator(f: MapLike):
+    """f's compiled evaluator.  It is bound on f's first evaluation and kept
+    on f while f's coefficient tuple and term tuple stay the same objects."""
+    coeffs, terms = f.base.coeffs, f.terms
+    bound = f.__dict__.get("_evaluator")
+    if bound is None or bound[0] is not coeffs or bound[1] is not terms:
+        key, consts = _shape(f)
+        factory = _factories.get(key)
+        if factory is None:
+            if len(_factories) >= EVALUATOR_SHAPES:
+                del _factories[next(iter(_factories))]
+            scope: dict = {}
+            exec(compile(_source(key), "<map shape>", "exec"), scope)
+            factory = _factories[key] = scope["factory"]
+        bound = f.__dict__["_evaluator"] = (coeffs, terms, factory(*consts))
+    return bound[2]
 
 
 def orbit_points(f: MapLike, z: complex, period: int) -> List[complex]:
@@ -589,69 +675,102 @@ def iterate_orbit(
     passage data), ConvergedToCycle (revisitation within cycle_tol after a
     short transient; smallest period wins), or Undecided at max_iter.
 
-    Each iterate's pole distances are measured once.  They give its
-    approach (the nearest pole, the first on ties) and, before it is
-    evaluated, its collision: the first pole within POLE_COLLISION_RTOL *
+    Each iterate's pole distances are measured in one pass, which gives its
+    approach (the nearest pole, the first on ties).  Before it is evaluated
+    comes its collision: the first pole within POLE_COLLISION_RTOL *
     (1 + |a|), as ``eval_map`` checks.  A collision counts as an escape
-    whose passage point is the colliding iterate.
+    whose passage point is the colliding iterate.  The poles are scanned
+    for it, measured once more, only when the nearest distance is at most
+    the largest of those bars (or is nan), which every collision needs.
 
     Revisitation: iterate k revisits the latest j in
     [max(CYCLE_TRANSIENT, k - PERIOD_WINDOW), k - 1] with
     |z_k - z_j| < cycle_tol.  Iterates are filed in square cells of side
-    at least 2 * cycle_tol, so such a j lies in one of the 3x3 cells
-    around z_k and only those are searched.
+    s = max(8 * cycle_tol, R * 2**-48), R the escape radius, by the indices
+    floor(x / s) of their real and imaginary parts.  Each computed quotient
+    x / s is within 2**-52 * R / s of the exact one (|x| <= R), so two parts
+    closer than cycle_tol have quotients closer than cycle_tol / s +
+    2**-51 * R / s.  Hence z_j can lie only in z_k's own cell or in the
+    neighbour across an edge that z_k's quotient is within the margin
+    m = cycle_tol / s + (1 + R / s) * 2**-50 of (the extra 2**-50 covers
+    the rounding of the fractional part), on each axis, and in the corner
+    cell between two such neighbours.  m < 1/2, so at most one neighbour per
+    axis qualifies, and only those cells are searched; most iterates search
+    one.  The latest qualifying j is found in whichever cell holds it, so
+    the result does not depend on the cells.
     """
     escape_radius = checked_escape_radius(f, escape_radius)
+    evaluate = _evaluator(f)
     poles = [a for a, _ in pole_orders(f)]
     bars = [POLE_COLLISION_RTOL * (1.0 + abs(a)) for a in poles]
+    inf = math.inf
+    bar = max(bars, default=-inf)
     rec = OrbitRecord(start=z0, samples=[z0])
-    # The floor R * 2**-48 keeps every cell index below 2**48 (|z| <= R),
-    # so rounding in z / side moves an index by less than the half cell
-    # that the factor 2 leaves.  Without a positive tolerance nothing can
-    # revisit and no cells are kept.
-    side = max(2.0 * cycle_tol, escape_radius * 2.0**-48) if cycle_tol > 0 else 0.0
+    samples = rec.samples
+    # Without a positive tolerance nothing can revisit and no cells are kept.
+    side = max(8.0 * cycle_tol, escape_radius * 2.0**-48) if cycle_tol > 0 else 0.0
+    if side:
+        margin = cycle_tol / side + (1.0 + escape_radius / side) * 2.0**-50
     cells = {}
 
     z = z0
     for k in range(max_iter + 1):
-        # z is iterate k.  Its passage replaces an earlier one on ties.
-        ds = [abs(z - a) for a in poles]
-        pd = min(ds, default=math.inf)
+        # z is iterate k; pd is its distance to the nearest pole pk, the first
+        # on ties (min's rule: a nan first distance stays).  Its passage
+        # replaces an earlier one on ties.
+        pd, pk = inf, None
+        for j, a in enumerate(poles):
+            d = abs(z - a)
+            if not j or d < pd:
+                pd, pk = d, j
         if not k or pd <= passage_dist:
-            passage, passage_pole, passage_dist = z, ds.index(pd) if ds else None, pd
+            passage, passage_pole, passage_dist = z, pk, pd
         if not k and abs(z) > escape_radius:
             rec.outcome = Escaped(0, z, z, passage_pole, pd)
             return rec
         if k >= CYCLE_TRANSIENT and side:
-            lo = max(CYCLE_TRANSIENT, k - PERIOD_WINDOW)
-            cx, cy = math.floor(z.real / side), math.floor(z.imag / side)
+            lo = k - PERIOD_WINDOW  # the cells hold no j < CYCLE_TRANSIENT
+            u, v = z.real / side, z.imag / side
+            cx, cy = math.floor(u), math.floor(v)
+            u -= cx
+            v -= cy
+            dx = -1 if u < margin else 1 if 1.0 - u < margin else 0
+            dy = -1 if v < margin else 1 if 1.0 - v < margin else 0
+            near = [(cx, cy)]
+            if dx:
+                near.append((cx + dx, cy))
+            if dy:
+                near.append((cx, cy + dy))
+                if dx:
+                    near.append((cx + dx, cy + dy))
             best = -1
-            for x in (cx - 1, cx, cx + 1):
-                for y in (cy - 1, cy, cy + 1):
-                    for j in reversed(cells.get((x, y), ())):
-                        if j <= best or j < lo:
-                            break
-                        if abs(z - rec.samples[j]) < cycle_tol:
-                            best = j
-                            break
+            for cell in near:
+                for j in reversed(cells.get(cell, ())):
+                    if j <= best or j < lo:
+                        break
+                    if abs(z - samples[j]) < cycle_tol:
+                        best = j
+                        break
             if best >= 0:
-                rec.outcome = ConvergedToCycle(k - best, rec.samples[best], best)
+                rec.outcome = ConvergedToCycle(k - best, samples[best], best)
                 return rec
             cells.setdefault((cx, cy), []).append(k)
         if k == max_iter:
             break
-        for j, d in enumerate(ds):
-            if d <= bars[j]:
-                rec.outcome = Escaped(k + 1, z, z, j, d)
-                return rec
-        z_new = eval_unchecked(f, z)
+        if not pd > bar:
+            for j, a in enumerate(poles):
+                d = abs(z - a)
+                if d <= bars[j]:
+                    rec.outcome = Escaped(k + 1, z, z, j, d)
+                    return rec
+        z_new = evaluate(z)
         if not abs(z_new) <= escape_radius:
             # A finite escaping iterate is kept; a non-finite one is not.
             if math.isfinite(z_new.real) and math.isfinite(z_new.imag):
-                rec.samples.append(z_new)
+                samples.append(z_new)
             rec.outcome = Escaped(k + 1, z, passage, passage_pole, passage_dist)
             return rec
-        rec.samples.append(z_new)
+        samples.append(z_new)
         z = z_new
     rec.outcome = Undecided()
     return rec

@@ -371,17 +371,18 @@ def rotational_symmetry_score(grid: ClassGrid, m: int) -> float:
 
 
 def grid_to_rgb(grid: ClassGrid) -> np.ndarray:
-    """(h, w, 3) uint8 image per the frozen palette, by one lookup into a
-    table of Undecided (black), Escaped(k) for k = 0..32 (the shade
-    255 - min(8k, 255) is 0 from k = 32 on) and the eight basin colours."""
+    """(h, w, 3) uint8 image per the frozen palette, by one gather of 3-byte
+    pixels from a table of Undecided (black), Escaped(k) for k = 0..32 (the
+    shade 255 - min(8k, 255) is 0 from k = 32 on) and the eight basin
+    colours.  Each class's mask zeroes the other classes' row terms."""
     import numpy as np
 
     shades = [255 - min(8 * k, 255) for k in range(33)]
     table = np.array([(0, 0, 0)] + [(v, v, 255) for v in shades] + list(PALETTE8), dtype=np.uint8)
-    shade = 1 + np.minimum(grid.iters, 32)
+    row = (grid.kind == KIND_ESCAPED) * (1 + np.minimum(grid.iters, 32))
     basin = 34 + ((2 * grid.basin_id.astype(np.int32) + grid.basin_phase) & 7)  # & 7 is % 8
-    row = np.where(grid.kind == KIND_ESCAPED, shade, np.where(grid.kind == KIND_BASIN, basin, 0))
-    return table.take(row, axis=0)
+    row += (grid.kind == KIND_BASIN) * basin
+    return table.view("V3")[:, 0][row].view(np.uint8).reshape(*row.shape, 3)
 
 
 def write_ppm(grid: ClassGrid, path: str) -> None:

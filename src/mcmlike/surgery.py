@@ -141,7 +141,9 @@ def compute_alpha_beta(
 
     seed is alpha at the first (lowest) phase of J_i.  The recursion closes
     exactly because the loop product equals 1 by the definition of M; the
-    cyclic closure is still checked to CLOSURE_RTOL.  With
+    cyclic closure is still checked to CLOSURE_RTOL.  An alpha, beta or
+    chain-inequality side that overflows raises ClosureError naming its
+    phase.  With
     require_condition=False, constants are produced even when the condition
     fails (M <= 1); such constants carry no slack and admit no plan.
     """
@@ -200,6 +202,13 @@ def compute_alpha_beta(
         degrees=tuple(n),
         pole_orders=orders,
     )
+    for j in phases:
+        lhs, rhs = sc.chain_lhs(j), sc.chain_rhs(j)
+        if not all(math.isfinite(x) for x in (alpha[j], beta[j], lhs, rhs)):
+            raise ClosureError(
+                f"chain inequality overflows at phase {j}: {lhs!r} < {rhs!r} "
+                f"(alpha {alpha[j]!r}, beta {beta[j]!r})"
+            )
     if M > 1.0:
         for j in phases:
             if not sc.gap(j) > 0.0:
@@ -245,8 +254,8 @@ def plan_levels(
     with the modulus replaced by the Groetzsch upper bound
     C + (n_j/(2*pi)) * alpha_j * ln(1/r), making delta an upper estimate.
     Points checked: (i) level ordering alpha < beta <= delta and, as the
-    levels round (large exponents underflow them to 0), Lout > Lin >= Linf,
-    (ii) the modulus identity (by construction), (iii) delta_{next(j)} <
+    levels round (large exponents underflow them to 0), Lout > Lin >= Linf
+    > 0, (ii) the modulus identity (by construction), (iii) delta_{next(j)} <
     chain_rhs(j).  With strict=True a failing point raises; with
     strict=False the plan records the verdicts.  1/r must be finite.
     """
@@ -271,7 +280,7 @@ def plan_levels(
     }
 
     unordered = [j for j, (lout, lin, linf) in levels.items()
-                 if not (sc.alpha[j] < sc.beta[j] <= delta[j] and lout > lin >= linf)]
+                 if not (sc.alpha[j] < sc.beta[j] <= delta[j] and lout > lin >= linf > 0.0)]
     point_ii = all(
         abs((delta[j] - sc.beta[j]) * log_inv_r / two_pi - mods[j] / sc.pole_orders[j])
         <= 1e-12 * (1.0 + mods[j] / sc.pole_orders[j])

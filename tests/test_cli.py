@@ -186,13 +186,23 @@ def test_plan_levels_ordered_checks_the_printed_levels(run):
     assert out.endswith("plan: FAIL\n")
 
 
+def test_plan_levels_ordered_needs_a_positive_inner_level(run):
+    # Lout = r is positive, but Lin = r**beta and Linf = r**delta underflow.
+    code, out, _ = run("plan", fx("q_family"), "--r", "1e-308")
+    assert code == 1
+    assert "phase 0: Lout 1e-308 Lin 0 Linf 0" in out.splitlines()
+    assert "levels ordered: FAIL" in out.splitlines()
+    assert out.endswith("plan: FAIL\n")
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [
         (["--seed", "nan"], "seed nan must be positive and finite"),
         (["--seed", "inf"], "seed inf must be positive and finite"),
-        # Finite, but the alpha recursion overflows.
-        (["--seed", "1e308"], "chain inequality not strict at phase 0 despite M > 1"),
+        # Finite, but the chain inequality's sides overflow.
+        (["--seed", "1e308"],
+         "chain inequality overflows at phase 0: inf < inf (alpha 1e+308, beta 1.4641016151377545e+308)"),
         (["--groetzsch-c", "nan", "--r", "0.5"], "groetzsch_c nan must be >= 0 and finite"),
         (["--groetzsch-c", "inf", "--r", "0.5"], "groetzsch_c inf must be >= 0 and finite"),
         # Finite, but r* = exp(-x) underflows, or 1/r overflows.
@@ -576,6 +586,23 @@ def test_import_cli_loads_no_numpy():
     proc = _cold("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "['mcmlike.render']"
+
+
+def test_import_cli_defers_verify_skew_and_surgery():
+    # Only the commands that use them import them; their functions still
+    # resolve as attributes of the CLI module.
+    code = (
+        "import sys, mcmlike.cli as cli; "
+        "deferred = ('mcmlike.verify', 'mcmlike.skew', 'mcmlike.surgery'); "
+        "print([m for m in deferred if m in sys.modules]); "
+        "print(cli.census_at_depth is sys.modules['mcmlike.skew'].census_at_depth); "
+        "print([m for m in deferred if m in sys.modules])"
+    )
+    proc = _cold("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True", "['mcmlike.skew']"]
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        mcmlike.cli.no_such_name
 
 
 def test_render_starts_no_thread_pool(tmp_path):

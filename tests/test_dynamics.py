@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import pickle
 import random
 
 import numpy as np
@@ -21,6 +22,9 @@ from mcmlike.dynamics import (
     OrbitRecord,
     PoleHit,
     RationalMapExpr,
+    _evaluator,
+    _factories,
+    _shape,
     Undecided,
     auto_radius,
     checked_escape_radius,
@@ -554,8 +558,9 @@ def test_iterate_orbit_matches_reference_on_random_orbits():
 
 
 def test_iterate_orbit_cycle_straddling_cell_boundaries():
-    # With cycle_tol 1e-9 the cells have side 2e-9.  An attracting fixed
-    # point and an attracting 2-cycle point sit on the cell corner p; their
+    # With cycle_tol 1e-9, p is a corner of the cells of side 2e-9 (the
+    # 3x3 search's) and of side 8e-9 (iterate_orbit's).  An attracting
+    # fixed point and an attracting 2-cycle point sit on p; their
     # multipliers are -1/2, so iterates approach from alternating sides and
     # the revisiting iterate lies in a different cell from the one it
     # revisits.
@@ -592,6 +597,307 @@ def test_iterate_orbit_degenerate_cycle_tolerances(tol):
     if tol == 1e-300:
         rec = iterate_orbit(cube, 0.5 + 0j, cycle_tol=tol)
         assert rec.outcome == ConvergedToCycle(1, 0j, CYCLE_TRANSIENT)
+
+
+# ---------------------------------------------------------------------------
+# The compiled evaluator against the interpretive one it replaced, and the
+# revisit search against the 3x3 cell search it replaced.  Same operations
+# in the same order, so the same bits.
+
+
+def interpretive_poly_eval(p, z):
+    """ComplexPoly.eval as it was: Horner with the identity skips decided
+    per call."""
+    lead, *lower = reversed(p.coeffs)
+    if not lower:
+        return lead
+    acc = z if lead == 1 else lead * z
+    for k, c in enumerate(lower):
+        if k:
+            if acc is z:
+                acc = acc * z
+            else:
+                acc *= z
+        if c != 0:
+            if acc is z:
+                acc = acc + c
+            else:
+                acc += c
+    return acc * lead if acc is z else acc
+
+
+def interpretive_eval(f, z):
+    """eval_unchecked as it was: loops over the terms and their factors."""
+    val = interpretive_poly_eval(f.base, z)
+    for c, factors in f.terms:
+        den = None
+        for a, d in factors:
+            w = z - a if a != 0 else z
+            for _ in range(d):
+                if den is None:
+                    den = w
+                elif den is w or den is z:
+                    den = den * w
+                else:
+                    den *= w
+        val += c if den is None else c / den
+    return val
+
+
+def assert_same_scalar(got, want):
+    for x, y in ((got.real, want.real), (got.imag, want.imag)):
+        if math.isnan(y):
+            assert math.isnan(x)
+        else:
+            assert x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+
+
+def assert_same_array(got, want):
+    # A constant map gives its constant, not an array, for an array z.
+    assert type(got) is type(want)
+    got, want = np.atleast_1d(got), np.atleast_1d(want)
+    assert got.dtype == want.dtype == complex and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _random_shape_map(rng):
+    def coeff():
+        return complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+
+    lead = rng.choice([1.0, -1.0, coeff()])
+    lower = [rng.choice([0.0, -0.0, 1.0, coeff(), coeff()]) for _ in range(rng.randint(0, 5))]
+    base = ComplexPoly(lower + [lead])
+    terms = []
+    for _ in range(rng.choice([0, 1, 1, 2, 3])):
+        factors = tuple(
+            (rng.choice([0j, coeff()]), rng.randint(1, 4)) for _ in range(rng.randint(1, 3))
+        )
+        terms.append((rng.choice([coeff() * 1e-3, 1.0, -0.5j]), factors))
+    return RationalMapExpr(base, tuple(terms)) if terms else base
+
+
+def _shape_maps():
+    rng = random.Random(20)
+    maps = _reference_maps() + [ComplexPoly([3 - 1j]), ComplexPoly([0.5, 1]), ComplexPoly([0, -1])]
+    maps += [RationalMapExpr(ComplexPoly([2j]), ((1e-2, ((0j, 2),)),))]  # constant base
+    return maps + [_random_shape_map(rng) for _ in range(150)]
+
+
+def test_compiled_evaluator_matches_the_interpretive_one():
+    shapes = set()
+    for f in _shape_maps():
+        shapes.add(_shape(f)[0])
+        seeds = _reference_seeds(f)
+        arr = np.array(seeds)
+        before = arr.copy()
+        with np.errstate(all="ignore"):
+            assert_same_array(eval_unchecked(f, arr), interpretive_eval(f, arr))
+            assert_same_array(f.base.eval(arr), interpretive_poly_eval(f.base, arr))
+        assert arr.tobytes() == before.tobytes()
+        for z in seeds:
+            try:
+                want = interpretive_eval(f, z)
+            except ZeroDivisionError:  # an exact pole hit
+                with pytest.raises(ZeroDivisionError):
+                    eval_unchecked(f, z)
+                continue
+            got = eval_unchecked(f, z)
+            assert got is not z
+            assert_same_scalar(got, want)
+            assert_same_scalar(f.base.eval(z), interpretive_poly_eval(f.base, z))
+    assert len(shapes) > 100
+
+
+def test_maps_of_one_shape_share_a_factory_and_keep_their_constants():
+    f = product_pole_map(ComplexPoly([0.25, 0, 1]), 1e-3, [(0j, 2), (0.5 - 1j, 1)])
+    g = product_pole_map(ComplexPoly([-0.5j, 0, 1]), -2e-2j, [(0j, 2), (1 + 1j, 1)])
+    assert _shape(f)[0] == _shape(g)[0]
+    ev_f, ev_g = _evaluator(f), _evaluator(g)
+    assert ev_f is not ev_g and ev_f.__code__ is ev_g.__code__
+    assert ev_f is _evaluator(f)  # bound once
+    z = 0.3 + 0.4j
+    assert_same_scalar(eval_unchecked(f, z), interpretive_eval(f, z))
+    assert_same_scalar(eval_unchecked(g, z), interpretive_eval(g, z))
+    assert eval_unchecked(f, z) != eval_unchecked(g, z)
+    # A polynomial whose coefficients are replaced is bound again, and its
+    # kept derivative is replaced too.
+    p = ComplexPoly([1, 2, 3])
+    assert p.eval(2.0) == 17 and p.derivative().eval(2.0) == 14
+    assert p.derivative() is p.derivative()
+    p.coeffs = (1 + 0j, 2 + 0j, 4 + 0j)
+    assert p.eval(2.0) == 21 and p.derivative().eval(2.0) == 18
+    # A pickled map leaves its bound evaluator out and binds again.
+    for m in (f, p):
+        back = pickle.loads(pickle.dumps(m))
+        assert back == m and "_evaluator" not in vars(back)
+        assert_same_scalar(eval_unchecked(back, z), eval_unchecked(m, z))
+
+
+def test_compiled_code_holds_no_coefficient():
+    # The constants reach the compiled code only as the factory's
+    # arguments, which the evaluator's closure holds.
+    f = product_pole_map(ComplexPoly([0.125, -3, 0, 1.5]), 7e-3, [(0.75j, 3), (-0.25 + 0j, 1)])
+    ev = _evaluator(f)
+    key, consts = _shape(f)
+
+    def constants(code):
+        for c in code.co_consts:
+            if hasattr(c, "co_consts"):
+                yield from constants(c)
+            else:
+                yield c
+
+    assert not [c for c in constants(_factories[key].__code__) if isinstance(c, (int, float, complex))]
+    assert {cell.cell_contents for cell in ev.__closure__} == set(consts) == {1.5, -3, 0.125, 7e-3, 0.75j, -0.25}
+
+
+def reference_3x3_iterate_orbit(f, z0, max_iter=512, escape_radius=None, cycle_tol=1e-9):
+    """iterate_orbit as it was: cells of side max(2 * cycle_tol, R * 2**-48),
+    all 3x3 cells around each iterate searched, every pole scanned for a
+    collision, the interpretive evaluator."""
+    escape_radius = checked_escape_radius(f, escape_radius)
+    poles = [a for a, _ in pole_orders(f)]
+    bars = [1e-13 * (1.0 + abs(a)) for a in poles]
+    rec = OrbitRecord(start=z0, samples=[z0])
+    side = max(2.0 * cycle_tol, escape_radius * 2.0**-48) if cycle_tol > 0 else 0.0
+    cells = {}
+    z = z0
+    for k in range(max_iter + 1):
+        ds = [abs(z - a) for a in poles]
+        pd = min(ds, default=math.inf)
+        if not k or pd <= passage_dist:
+            passage, passage_pole, passage_dist = z, ds.index(pd) if ds else None, pd
+        if not k and abs(z) > escape_radius:
+            rec.outcome = Escaped(0, z, z, passage_pole, pd)
+            return rec
+        if k >= CYCLE_TRANSIENT and side:
+            lo = max(CYCLE_TRANSIENT, k - PERIOD_WINDOW)
+            cx, cy = math.floor(z.real / side), math.floor(z.imag / side)
+            best = -1
+            for x in (cx - 1, cx, cx + 1):
+                for y in (cy - 1, cy, cy + 1):
+                    for j in reversed(cells.get((x, y), ())):
+                        if j <= best or j < lo:
+                            break
+                        if abs(z - rec.samples[j]) < cycle_tol:
+                            best = j
+                            break
+            if best >= 0:
+                rec.outcome = ConvergedToCycle(k - best, rec.samples[best], best)
+                return rec
+            cells.setdefault((cx, cy), []).append(k)
+        if k == max_iter:
+            break
+        for j, d in enumerate(ds):
+            if d <= bars[j]:
+                rec.outcome = Escaped(k + 1, z, z, j, d)
+                return rec
+        z_new = interpretive_eval(f, z)
+        if not abs(z_new) <= escape_radius:
+            if math.isfinite(z_new.real) and math.isfinite(z_new.imag):
+                rec.samples.append(z_new)
+            rec.outcome = Escaped(k + 1, z, passage, passage_pole, passage_dist)
+            return rec
+        rec.samples.append(z_new)
+        z = z_new
+    rec.outcome = Undecided()
+    return rec
+
+
+def assert_same_as_3x3(f, z0, **kwargs):
+    got = iterate_orbit(f, z0, **kwargs)
+    assert got == reference_3x3_iterate_orbit(f, z0, **kwargs)
+    return got.outcome
+
+
+def _contraction(p, m):
+    """z -> p + m (z - p): a fixed point at p with multiplier m."""
+    return ComplexPoly([p - m * p, m])
+
+
+def test_revisits_on_cell_edges_and_corners():
+    # Fixed points and a 2-cycle on corners and edges of the cells of side
+    # 8 * tol, approached from alternating sides (negative multipliers), so
+    # revisits cross cell edges.
+    tol = 1e-9
+    side = 8 * tol
+
+    def cell(z):
+        return math.floor(z.real / side), math.floor(z.imag / side)
+
+    crossed = 0
+    for p in (250 * side * (1 + 1j), 250 * side + 250.5j * side, 250.5 * side - 250j * side, 0j):
+        for m in (-0.5, 0.5j, -0.9, 0.3 - 0.6j):
+            for dz in (3e-3 - 5e-3j, 2e-9, -5e-9j, 3.9e-9 + 4.1e-9j):
+                f = _contraction(p, m)
+                out = assert_same_as_3x3(f, p + dz, cycle_tol=tol)
+                assert isinstance(out, ConvergedToCycle) and abs(out.representative - p) < side
+                crossed += cell(iterate_orbit(f, p + dz, cycle_tol=tol).samples[-1]) != cell(
+                    out.representative
+                )
+    assert crossed > 10
+    # z^2 - 9/8, moved so that one 2-cycle point lies on a corner.
+    z1 = (-1 - math.sqrt(1.5)) / 2
+    for p in (1000 * side * (1 + 1j), 1000.5 * side * (1 - 1j)):
+        s = p - z1
+        two_cycle = ComplexPoly([s * s - 1.125 + s, -2 * s, 1])
+        out = assert_same_as_3x3(two_cycle, p + 0.01 + 0.002j, cycle_tol=tol)
+        assert isinstance(out, ConvergedToCycle) and out.period == 2
+
+
+def test_revisits_where_the_radius_floor_sets_the_cell_side():
+    # cycle_tol is far below R * 2**-48, so the floor sets the side and the
+    # neighbour margin is about 1/4 of a cell.  In floating point the
+    # contractions end on an exact fixed point or 2-cycle next to p.
+    radius = checked_escape_radius(_contraction(0j, -0.5), None)
+    side = radius * 2.0**-48
+    for tol in (1e-300, 1e-30, side / 16):
+        for p in (7 * side * (1 + 1j), 7.5 * side - 3j * side, 0.3 + 0.1j):
+            for m in (-0.5, 0.5, 0.25j):
+                out = assert_same_as_3x3(_contraction(p, m), p + 1e-3, cycle_tol=tol, max_iter=200)
+                assert isinstance(out, ConvergedToCycle) and out.period <= 2
+    for tol in (0.0, -0.0):
+        out = assert_same_as_3x3(_contraction(0.3j, -0.5), 0.1 + 0j, cycle_tol=tol, max_iter=200)
+        assert isinstance(out, Undecided)
+
+
+@pytest.mark.parametrize("period", [1, 2, 3, PERIOD_WINDOW - 1, PERIOD_WINDOW, PERIOD_WINDOW + 1])
+def test_revisits_at_the_window_edges(period):
+    # A rotation by 2 pi / period revisits after exactly `period` steps (to
+    # rounding), so periods up to PERIOD_WINDOW are found and the next one
+    # is not.  The first revisit is from k = CYCLE_TRANSIENT + period to
+    # j = CYCLE_TRANSIENT, the window's lower edge.
+    rotation = ComplexPoly([0, cmath.exp(2j * math.pi / period)])
+    out = assert_same_as_3x3(rotation, 0.6 - 0.8j, max_iter=CYCLE_TRANSIENT + 2 * PERIOD_WINDOW)
+    if period <= PERIOD_WINDOW:
+        assert out.period == period and out.convergence_index == CYCLE_TRANSIENT
+    else:
+        assert isinstance(out, Undecided)
+
+
+def test_collision_scan_at_the_bar_and_beside_a_nan_distance():
+    # |z - 0| equal to the bar 1e-13 collides.  A nan distance first in the
+    # list makes min() nan, and the scan still finds the pole beside it.
+    f = simple_poles_map(Q, [(0j, 1, 1e-3 + 0j)])
+    out = assert_same_as_3x3(f, 1e-13 + 0j)
+    assert out == Escaped(1, 1e-13 + 0j, 1e-13 + 0j, 0, 1e-13)
+    g = simple_poles_map(Q, [(complex("nan"), 1, 1e-3 + 0j), (0j, 1, 1e-3 + 0j)])
+    out = assert_same_as_3x3(g, 1e-14 + 0j)
+    assert isinstance(out, Escaped) and out.escape_index == 1 and out.nearest_pole_index == 1
+
+
+@pytest.mark.parametrize("name", CONCRETE)
+def test_iterate_orbit_matches_3x3_search_on_sweep_factors(name):
+    mf = load_model(FIXTURES / f"{name}.json")
+    params = mf.verify_params()
+    kwargs = dict(max_iter=params.max_iter, cycle_tol=params.cycle_tol)
+    maps = [mf.polynomial]
+    if mf.family is not None:
+        lam = mf.build_map().terms[0][0]
+        maps += [mf.build_map(lambda_override=lam * 10 ** (-2 + 3 * j / 60)) for j in (0, 29, 48, 60)]
+    for f in maps:
+        for c, _ in critical_census(f).free_criticals:
+            assert_same_as_3x3(f, c, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from mcmlike.arith import InvalidPoleDataKey, PoleData, check_condition, transition_matrix
 from mcmlike.model import from_abstract
 from mcmlike.surgery import (
+    ClosureError,
     ConditionFails,
     EmptyPoleSet,
     LevelOrderViolation,
@@ -205,6 +206,25 @@ def test_level_order_covers_the_printed_levels():
     assert not plan.point_i and plan.point_iii
     with pytest.raises(LevelOrderViolation):
         plan_levels(sc, 0.5)
+
+
+def test_level_order_needs_a_positive_inner_level():
+    # Lout = r is positive, but Lin = r**beta and Linf = r**delta underflow
+    # to 0, so Lin >= Linf would hold only as 0 >= 0.
+    plan = plan_levels(q_constants(), 1e-308, strict=False)
+    assert plan.levels[0] == (1e-308, 0.0, 0.0)
+    assert not plan.point_i and plan.point_ii and plan.point_iii
+    with pytest.raises(LevelOrderViolation):
+        plan_levels(q_constants(), 1e-308)
+
+
+def test_overflowing_constants_name_their_phase():
+    # alpha and beta are finite, but both sides of the chain inequality
+    # overflow, so its gap is nan.
+    sc = q_constants(1e307)
+    assert math.isfinite(sc.chain_lhs(0)) and sc.gap(0) > 0
+    with pytest.raises(ClosureError, match=r"chain inequality overflows at phase 0: inf < inf \(alpha 1e\+308"):
+        q_constants(1e308)
 
 
 @pytest.mark.parametrize("seed", [0.0, -1.0, math.nan, math.inf])
