@@ -502,7 +502,7 @@ def find_roots(poly: ComplexPoly):
     results = []
     if zero_mult:
         results.append((0j, zero_mult))
-    p = ComplexPoly(poly.coeffs[zero_mult:])
+    p = ComplexPoly(poly.coeffs[zero_mult:]) if zero_mult else poly
     m = p.degree
     if m == 0:
         return results

@@ -8,18 +8,14 @@ import random
 import numpy as np
 import pytest
 
+from mcmlike import dynamics
 from mcmlike.dynamics import (
-    ABERTH_MAX_ITER,
     CYCLE_TRANSIENT,
-    EPS,
     PERIOD_WINDOW,
-    ROOT_CLUSTER_TOL,
-    ROOT_RESIDUAL_RTOL,
     ComplexPoly,
     ConvergedToCycle,
     Escaped,
     NonConvergence,
-    OrbitRecord,
     PoleHit,
     RationalMapExpr,
     _evaluator,
@@ -44,6 +40,15 @@ from mcmlike.model_io import load_model
 from mcmlike.verify import critical_census, free_critical_points, free_critical_polynomial, map_degree
 
 from conftest import FIXTURES
+from oracles import (
+    assert_same_array,
+    assert_same_scalar,
+    bits,
+    interpretive_eval,
+    interpretive_poly_eval,
+    reference_find_roots,
+    reference_iterate_orbit,
+)
 
 Q = ComplexPoly([1, 0, -3, 2])  # 1 - 3z^2 + 2z^3
 
@@ -136,6 +141,7 @@ def test_find_roots_random_property():
 def test_find_roots_raises_on_non_finite_roots(coeffs):
     with pytest.raises(NonConvergence, match="non-finite"):
         find_roots(ComplexPoly(coeffs))
+    assert_same_roots(ComplexPoly(coeffs))
 
 
 def test_simple_poles_eval_and_pole_hit():
@@ -156,10 +162,6 @@ def test_product_pole_eval():
     assert abs(eval_map(f, z) - want) < 1e-12
     assert pole_orders(f) == [(0j, 2), (-1 + 0j, 1)]
     assert_array_matches_scalar(f, np.array([z, 0.5 - 2j, -1.5 + 0.25j, -1 + 1e-3j]))
-
-
-def bits(z):
-    return (z.real.hex(), z.imag.hex())
 
 
 def test_single_factor_product_pole_is_a_simple_pole():
@@ -468,55 +470,7 @@ def test_newton_cycle_orbit_hitting_a_pole_does_not_converge():
 
 
 # ---------------------------------------------------------------------------
-# iterate_orbit against the backwards revisitation scan
-
-
-def reference_iterate_orbit(f, z0, max_iter=512, escape_radius=None, cycle_tol=1e-9):
-    """iterate_orbit with revisitation found by scanning back up to
-    PERIOD_WINDOW iterates at every step: the rule the cell lookup keeps."""
-    escape_radius = checked_escape_radius(f, escape_radius)
-    poles = [a for a, _ in pole_orders(f)]
-    rec = OrbitRecord(start=z0, samples=[z0])
-
-    def approach(z):
-        if not poles:
-            return None, float("inf")
-        return min(((k, abs(z - a)) for k, a in enumerate(poles)), key=lambda kd: kd[1])
-
-    pk, pd = approach(z0)
-    passage, passage_pole, passage_dist = z0, pk, pd
-    z = z0
-    if abs(z) > escape_radius:
-        rec.outcome = Escaped(0, z0, z0, pk, pd)
-        return rec
-    for k in range(1, max_iter + 1):
-        try:
-            z_new = eval_map(f, z)
-        except PoleHit as hit:
-            rec.outcome = Escaped(k, z, z, hit.pole_index, abs(z - hit.location))
-            return rec
-        if not (math.isfinite(z_new.real) and math.isfinite(z_new.imag)):
-            rec.outcome = Escaped(k, z, passage, passage_pole, passage_dist)
-            return rec
-        rec.samples.append(z_new)
-        if abs(z_new) > escape_radius:
-            if poles:
-                rec.outcome = Escaped(k, z, passage, passage_pole, passage_dist)
-            else:
-                rec.outcome = Escaped(k, z, z, None, float("inf"))
-            return rec
-        pk, pd = approach(z_new)
-        if poles and pd <= passage_dist:
-            passage, passage_pole, passage_dist = z_new, pk, pd
-        z = z_new
-        if k >= CYCLE_TRANSIENT:
-            lo = max(CYCLE_TRANSIENT, k - PERIOD_WINDOW)
-            for j in range(k - 1, lo - 1, -1):
-                if abs(z - rec.samples[j]) < cycle_tol:
-                    rec.outcome = ConvergedToCycle(k - j, rec.samples[j], j)
-                    return rec
-    rec.outcome = Undecided()
-    return rec
+# iterate_orbit against the orbit oracle, which scans back for revisits
 
 
 def assert_same_orbit(f, z0, **kwargs):
@@ -536,7 +490,10 @@ def test_iterate_orbit_matches_reference_on_fixture_critical_orbits(name):
     maps = [mf.polynomial]
     if mf.family is not None:
         lam = mf.build_map().terms[0][0]
-        maps += [mf.build_map(lambda_override=lam * s) for s in (0.1, 1.0, 10.0)]
+        # verify's sweep factors 10 ** (-2 + 3 j / 60) at j = 0, 29 and 48;
+        # j = 60 is the factor 10.
+        factors = (0.1, 1.0, 10.0) + tuple(10 ** (-2 + 3 * j / 60) for j in (0, 29, 48))
+        maps += [mf.build_map(lambda_override=lam * s) for s in factors]
     outcomes = set()
     for f in maps:
         for c, _ in critical_census(f).free_criticals:
@@ -557,33 +514,102 @@ def test_iterate_orbit_matches_reference_on_random_orbits():
     assert outcomes == {"ConvergedToCycle", "Escaped", "Undecided"}
 
 
+def _contraction(p, m):
+    """z -> p + m (z - p): a fixed point at p with multiplier m."""
+    return ComplexPoly([p - m * p, m])
+
+
+def _cell(z, side):
+    return math.floor(z.real / side), math.floor(z.imag / side)
+
+
 def test_iterate_orbit_cycle_straddling_cell_boundaries():
-    # With cycle_tol 1e-9, p is a corner of the cells of side 2e-9 (the
-    # 3x3 search's) and of side 8e-9 (iterate_orbit's).  An attracting
-    # fixed point and an attracting 2-cycle point sit on p; their
-    # multipliers are -1/2, so iterates approach from alternating sides and
-    # the revisiting iterate lies in a different cell from the one it
-    # revisits.
+    # With cycle_tol 1e-9, every p is a corner of the cells of side 2e-9,
+    # and the first two are corners of the cells of side 8e-9
+    # (iterate_orbit's) too.  An attracting fixed point and an attracting
+    # 2-cycle point sit on p; their multipliers are -1/2, so iterates
+    # approach from alternating sides and the revisiting iterate lies in a
+    # different cell from the one it revisits.
     tol = 1e-9
-    side = 2 * tol
-    p = 1000 * side * (1 + 1j)
-
-    def cell(z):
-        return math.floor(z.real / side), math.floor(z.imag / side)
-
-    fixed = ComplexPoly([1.5 * p, -0.5])  # z -> p - (z - p) / 2
+    fine, coarse = 2 * tol, 8 * tol
     # z^2 - 9/8 has a 2-cycle {z1, z2} with multiplier -1/2.  |f'(z2)| < 1,
     # so deviations at z1 = f(z2) are the smaller ones and the revisit is
     # found there: z1 goes onto p.
     z1 = (-1 - math.sqrt(1.5)) / 2
-    s = p - z1
-    two_cycle = ComplexPoly([s * s - 1.125 + s, -2 * s, 1])  # (z - s)^2 - 9/8 + s
-    for f, period, z0 in ((fixed, 1, p + 3e-3 - 5e-3j), (two_cycle, 2, p + 0.01 + 0.002j)):
-        rec = assert_same_orbit(f, z0, cycle_tol=tol)
-        out = rec.outcome
-        assert isinstance(out, ConvergedToCycle) and out.period == period
-        assert abs(out.representative - p) < 1e-8
-        assert cell(rec.samples[-1]) != cell(out.representative)
+    corners = [
+        (1000 * fine * (1 + 1j), (fine, coarse)),
+        (1000 * coarse * (1 + 1j), (fine, coarse)),
+        (1000.5 * coarse * (1 - 1j), (fine,)),
+    ]
+    for p, sides in corners:
+        fixed = ComplexPoly([1.5 * p, -0.5])  # z -> p - (z - p) / 2
+        s = p - z1
+        two_cycle = ComplexPoly([s * s - 1.125 + s, -2 * s, 1])  # (z - s)^2 - 9/8 + s
+        for f, period, z0 in ((fixed, 1, p + 3e-3 - 5e-3j), (two_cycle, 2, p + 0.01 + 0.002j)):
+            rec = assert_same_orbit(f, z0, cycle_tol=tol)
+            out = rec.outcome
+            assert isinstance(out, ConvergedToCycle) and out.period == period
+            assert abs(out.representative - p) < 1e-8
+            for side in sides:
+                assert _cell(rec.samples[-1], side) != _cell(out.representative, side)
+
+
+def test_revisits_on_cell_edges_and_corners():
+    # Fixed points on corners and edges of the cells of side 8 * tol,
+    # approached from alternating sides (negative multipliers), so revisits
+    # cross cell edges.
+    tol = 1e-9
+    side = 8 * tol
+    crossed = 0
+    for p in (250 * side * (1 + 1j), 250 * side + 250.5j * side, 250.5 * side - 250j * side, 0j):
+        for m in (-0.5, 0.5j, -0.9, 0.3 - 0.6j):
+            for dz in (3e-3 - 5e-3j, 2e-9, -5e-9j, 3.9e-9 + 4.1e-9j):
+                rec = assert_same_orbit(_contraction(p, m), p + dz, cycle_tol=tol)
+                out = rec.outcome
+                assert isinstance(out, ConvergedToCycle) and abs(out.representative - p) < side
+                crossed += _cell(rec.samples[-1], side) != _cell(out.representative, side)
+    assert crossed > 10
+
+
+def test_revisits_where_the_radius_floor_sets_the_cell_side():
+    # cycle_tol is far below R * 2**-48, so the floor sets the side and the
+    # neighbour margin is about 1/4 of a cell.  In floating point the
+    # contractions end on an exact fixed point or 2-cycle next to p.
+    radius = checked_escape_radius(_contraction(0j, -0.5), None)
+    side = radius * 2.0**-48
+    for tol in (1e-300, 1e-30, side / 16):
+        for p in (7 * side * (1 + 1j), 7.5 * side - 3j * side, 0.3 + 0.1j):
+            for m in (-0.5, 0.5, 0.25j):
+                rec = assert_same_orbit(_contraction(p, m), p + 1e-3, cycle_tol=tol, max_iter=200)
+                assert isinstance(rec.outcome, ConvergedToCycle) and rec.outcome.period <= 2
+    for tol in (0.0, -0.0):
+        rec = assert_same_orbit(_contraction(0.3j, -0.5), 0.1 + 0j, cycle_tol=tol, max_iter=200)
+        assert isinstance(rec.outcome, Undecided)
+
+
+@pytest.mark.parametrize("period", [1, 2, 3, PERIOD_WINDOW - 1, PERIOD_WINDOW, PERIOD_WINDOW + 1])
+def test_revisits_at_the_window_edges(period):
+    # A rotation by 2 pi / period revisits after exactly `period` steps (to
+    # rounding), so periods up to PERIOD_WINDOW are found and the next one
+    # is not.  The first revisit is from k = CYCLE_TRANSIENT + period to
+    # j = CYCLE_TRANSIENT, the window's lower edge.
+    rotation = ComplexPoly([0, cmath.exp(2j * math.pi / period)])
+    out = assert_same_orbit(rotation, 0.6 - 0.8j, max_iter=CYCLE_TRANSIENT + 2 * PERIOD_WINDOW).outcome
+    if period <= PERIOD_WINDOW:
+        assert out.period == period and out.convergence_index == CYCLE_TRANSIENT
+    else:
+        assert isinstance(out, Undecided)
+
+
+def test_collision_scan_at_the_bar_and_beside_a_nan_distance():
+    # |z - 0| equal to the bar 1e-13 collides.  A nan distance first in the
+    # list makes min() nan, and the scan still finds the pole beside it.
+    f = simple_poles_map(Q, [(0j, 1, 1e-3 + 0j)])
+    out = assert_same_orbit(f, 1e-13 + 0j).outcome
+    assert out == Escaped(1, 1e-13 + 0j, 1e-13 + 0j, 0, 1e-13)
+    g = simple_poles_map(Q, [(complex("nan"), 1, 1e-3 + 0j), (0j, 1, 1e-3 + 0j)])
+    out = assert_same_orbit(g, 1e-14 + 0j).outcome
+    assert isinstance(out, Escaped) and out.escape_index == 1 and out.nearest_pole_index == 1
 
 
 @pytest.mark.parametrize("tol", [0.0, 1e-300, float("inf"), float("nan"), -1.0])
@@ -600,64 +626,8 @@ def test_iterate_orbit_degenerate_cycle_tolerances(tol):
 
 
 # ---------------------------------------------------------------------------
-# The compiled evaluator against the interpretive one it replaced, and the
-# revisit search against the 3x3 cell search it replaced.  Same operations
+# The compiled evaluator against the evaluation oracle: the same operations
 # in the same order, so the same bits.
-
-
-def interpretive_poly_eval(p, z):
-    """ComplexPoly.eval as it was: Horner with the identity skips decided
-    per call."""
-    lead, *lower = reversed(p.coeffs)
-    if not lower:
-        return lead
-    acc = z if lead == 1 else lead * z
-    for k, c in enumerate(lower):
-        if k:
-            if acc is z:
-                acc = acc * z
-            else:
-                acc *= z
-        if c != 0:
-            if acc is z:
-                acc = acc + c
-            else:
-                acc += c
-    return acc * lead if acc is z else acc
-
-
-def interpretive_eval(f, z):
-    """eval_unchecked as it was: loops over the terms and their factors."""
-    val = interpretive_poly_eval(f.base, z)
-    for c, factors in f.terms:
-        den = None
-        for a, d in factors:
-            w = z - a if a != 0 else z
-            for _ in range(d):
-                if den is None:
-                    den = w
-                elif den is w or den is z:
-                    den = den * w
-                else:
-                    den *= w
-        val += c if den is None else c / den
-    return val
-
-
-def assert_same_scalar(got, want):
-    for x, y in ((got.real, want.real), (got.imag, want.imag)):
-        if math.isnan(y):
-            assert math.isnan(x)
-        else:
-            assert x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
-
-
-def assert_same_array(got, want):
-    # A constant map gives its constant, not an array, for an array z.
-    assert type(got) is type(want)
-    got, want = np.atleast_1d(got), np.atleast_1d(want)
-    assert got.dtype == want.dtype == complex and got.shape == want.shape
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def _random_shape_map(rng):
@@ -692,7 +662,7 @@ def test_compiled_evaluator_matches_the_interpretive_one():
         before = arr.copy()
         with np.errstate(all="ignore"):
             assert_same_array(eval_unchecked(f, arr), interpretive_eval(f, arr))
-            assert_same_array(f.base.eval(arr), interpretive_poly_eval(f.base, arr))
+            assert_same_array(f.base.eval(arr), interpretive_poly_eval(f.base.coeffs, arr))
         assert arr.tobytes() == before.tobytes()
         for z in seeds:
             try:
@@ -704,7 +674,7 @@ def test_compiled_evaluator_matches_the_interpretive_one():
             got = eval_unchecked(f, z)
             assert got is not z
             assert_same_scalar(got, want)
-            assert_same_scalar(f.base.eval(z), interpretive_poly_eval(f.base, z))
+            assert_same_scalar(f.base.eval(z), interpretive_poly_eval(f.base.coeffs, z))
     assert len(shapes) > 100
 
 
@@ -733,6 +703,32 @@ def test_maps_of_one_shape_share_a_factory_and_keep_their_constants():
         assert_same_scalar(eval_unchecked(back, z), eval_unchecked(m, z))
 
 
+def test_factory_cap_drops_the_oldest_shape(monkeypatch):
+    monkeypatch.setattr(dynamics, "EVALUATOR_SHAPES", 2)
+    monkeypatch.setattr(dynamics, "_factories", {})
+    maps = [
+        simple_poles_map(Q, [(0.5j, 2, 1e-3 + 0j)]),
+        product_pole_map(ComplexPoly([0.25, 0, 1]), -2e-2j, [(0j, 2), (1 + 1j, 1)]),
+        ComplexPoly([1, -0.5j, 0, 0, 2]),
+    ]
+    keys = [_shape(f)[0] for f in maps]
+    assert len(set(keys)) == 3
+    first = _evaluator(maps[0])
+    for f in maps[1:]:
+        _evaluator(f)
+    assert list(dynamics._factories) == keys[1:]
+    # Maps bound before the drop keep their evaluators.
+    z = 0.3 + 0.4j
+    for f in maps:
+        assert_same_scalar(eval_unchecked(f, z), interpretive_eval(f, z))
+    # A new map of the dropped shape compiles it again, dropping the next oldest.
+    again = simple_poles_map(ComplexPoly([0.5, 0, 1j, 3]), [(-1 + 0j, 2, 0.25j)])
+    assert _shape(again)[0] == keys[0]
+    assert_same_scalar(eval_unchecked(again, z), interpretive_eval(again, z))
+    assert list(dynamics._factories) == keys[2:] + keys[:1]
+    assert _evaluator(again).__code__ is not first.__code__
+
+
 def test_compiled_code_holds_no_coefficient():
     # The constants reach the compiled code only as the factory's
     # arguments, which the evaluator's closure holds.
@@ -749,155 +745,6 @@ def test_compiled_code_holds_no_coefficient():
 
     assert not [c for c in constants(_factories[key].__code__) if isinstance(c, (int, float, complex))]
     assert {cell.cell_contents for cell in ev.__closure__} == set(consts) == {1.5, -3, 0.125, 7e-3, 0.75j, -0.25}
-
-
-def reference_3x3_iterate_orbit(f, z0, max_iter=512, escape_radius=None, cycle_tol=1e-9):
-    """iterate_orbit as it was: cells of side max(2 * cycle_tol, R * 2**-48),
-    all 3x3 cells around each iterate searched, every pole scanned for a
-    collision, the interpretive evaluator."""
-    escape_radius = checked_escape_radius(f, escape_radius)
-    poles = [a for a, _ in pole_orders(f)]
-    bars = [1e-13 * (1.0 + abs(a)) for a in poles]
-    rec = OrbitRecord(start=z0, samples=[z0])
-    side = max(2.0 * cycle_tol, escape_radius * 2.0**-48) if cycle_tol > 0 else 0.0
-    cells = {}
-    z = z0
-    for k in range(max_iter + 1):
-        ds = [abs(z - a) for a in poles]
-        pd = min(ds, default=math.inf)
-        if not k or pd <= passage_dist:
-            passage, passage_pole, passage_dist = z, ds.index(pd) if ds else None, pd
-        if not k and abs(z) > escape_radius:
-            rec.outcome = Escaped(0, z, z, passage_pole, pd)
-            return rec
-        if k >= CYCLE_TRANSIENT and side:
-            lo = max(CYCLE_TRANSIENT, k - PERIOD_WINDOW)
-            cx, cy = math.floor(z.real / side), math.floor(z.imag / side)
-            best = -1
-            for x in (cx - 1, cx, cx + 1):
-                for y in (cy - 1, cy, cy + 1):
-                    for j in reversed(cells.get((x, y), ())):
-                        if j <= best or j < lo:
-                            break
-                        if abs(z - rec.samples[j]) < cycle_tol:
-                            best = j
-                            break
-            if best >= 0:
-                rec.outcome = ConvergedToCycle(k - best, rec.samples[best], best)
-                return rec
-            cells.setdefault((cx, cy), []).append(k)
-        if k == max_iter:
-            break
-        for j, d in enumerate(ds):
-            if d <= bars[j]:
-                rec.outcome = Escaped(k + 1, z, z, j, d)
-                return rec
-        z_new = interpretive_eval(f, z)
-        if not abs(z_new) <= escape_radius:
-            if math.isfinite(z_new.real) and math.isfinite(z_new.imag):
-                rec.samples.append(z_new)
-            rec.outcome = Escaped(k + 1, z, passage, passage_pole, passage_dist)
-            return rec
-        rec.samples.append(z_new)
-        z = z_new
-    rec.outcome = Undecided()
-    return rec
-
-
-def assert_same_as_3x3(f, z0, **kwargs):
-    got = iterate_orbit(f, z0, **kwargs)
-    assert got == reference_3x3_iterate_orbit(f, z0, **kwargs)
-    return got.outcome
-
-
-def _contraction(p, m):
-    """z -> p + m (z - p): a fixed point at p with multiplier m."""
-    return ComplexPoly([p - m * p, m])
-
-
-def test_revisits_on_cell_edges_and_corners():
-    # Fixed points and a 2-cycle on corners and edges of the cells of side
-    # 8 * tol, approached from alternating sides (negative multipliers), so
-    # revisits cross cell edges.
-    tol = 1e-9
-    side = 8 * tol
-
-    def cell(z):
-        return math.floor(z.real / side), math.floor(z.imag / side)
-
-    crossed = 0
-    for p in (250 * side * (1 + 1j), 250 * side + 250.5j * side, 250.5 * side - 250j * side, 0j):
-        for m in (-0.5, 0.5j, -0.9, 0.3 - 0.6j):
-            for dz in (3e-3 - 5e-3j, 2e-9, -5e-9j, 3.9e-9 + 4.1e-9j):
-                f = _contraction(p, m)
-                out = assert_same_as_3x3(f, p + dz, cycle_tol=tol)
-                assert isinstance(out, ConvergedToCycle) and abs(out.representative - p) < side
-                crossed += cell(iterate_orbit(f, p + dz, cycle_tol=tol).samples[-1]) != cell(
-                    out.representative
-                )
-    assert crossed > 10
-    # z^2 - 9/8, moved so that one 2-cycle point lies on a corner.
-    z1 = (-1 - math.sqrt(1.5)) / 2
-    for p in (1000 * side * (1 + 1j), 1000.5 * side * (1 - 1j)):
-        s = p - z1
-        two_cycle = ComplexPoly([s * s - 1.125 + s, -2 * s, 1])
-        out = assert_same_as_3x3(two_cycle, p + 0.01 + 0.002j, cycle_tol=tol)
-        assert isinstance(out, ConvergedToCycle) and out.period == 2
-
-
-def test_revisits_where_the_radius_floor_sets_the_cell_side():
-    # cycle_tol is far below R * 2**-48, so the floor sets the side and the
-    # neighbour margin is about 1/4 of a cell.  In floating point the
-    # contractions end on an exact fixed point or 2-cycle next to p.
-    radius = checked_escape_radius(_contraction(0j, -0.5), None)
-    side = radius * 2.0**-48
-    for tol in (1e-300, 1e-30, side / 16):
-        for p in (7 * side * (1 + 1j), 7.5 * side - 3j * side, 0.3 + 0.1j):
-            for m in (-0.5, 0.5, 0.25j):
-                out = assert_same_as_3x3(_contraction(p, m), p + 1e-3, cycle_tol=tol, max_iter=200)
-                assert isinstance(out, ConvergedToCycle) and out.period <= 2
-    for tol in (0.0, -0.0):
-        out = assert_same_as_3x3(_contraction(0.3j, -0.5), 0.1 + 0j, cycle_tol=tol, max_iter=200)
-        assert isinstance(out, Undecided)
-
-
-@pytest.mark.parametrize("period", [1, 2, 3, PERIOD_WINDOW - 1, PERIOD_WINDOW, PERIOD_WINDOW + 1])
-def test_revisits_at_the_window_edges(period):
-    # A rotation by 2 pi / period revisits after exactly `period` steps (to
-    # rounding), so periods up to PERIOD_WINDOW are found and the next one
-    # is not.  The first revisit is from k = CYCLE_TRANSIENT + period to
-    # j = CYCLE_TRANSIENT, the window's lower edge.
-    rotation = ComplexPoly([0, cmath.exp(2j * math.pi / period)])
-    out = assert_same_as_3x3(rotation, 0.6 - 0.8j, max_iter=CYCLE_TRANSIENT + 2 * PERIOD_WINDOW)
-    if period <= PERIOD_WINDOW:
-        assert out.period == period and out.convergence_index == CYCLE_TRANSIENT
-    else:
-        assert isinstance(out, Undecided)
-
-
-def test_collision_scan_at_the_bar_and_beside_a_nan_distance():
-    # |z - 0| equal to the bar 1e-13 collides.  A nan distance first in the
-    # list makes min() nan, and the scan still finds the pole beside it.
-    f = simple_poles_map(Q, [(0j, 1, 1e-3 + 0j)])
-    out = assert_same_as_3x3(f, 1e-13 + 0j)
-    assert out == Escaped(1, 1e-13 + 0j, 1e-13 + 0j, 0, 1e-13)
-    g = simple_poles_map(Q, [(complex("nan"), 1, 1e-3 + 0j), (0j, 1, 1e-3 + 0j)])
-    out = assert_same_as_3x3(g, 1e-14 + 0j)
-    assert isinstance(out, Escaped) and out.escape_index == 1 and out.nearest_pole_index == 1
-
-
-@pytest.mark.parametrize("name", CONCRETE)
-def test_iterate_orbit_matches_3x3_search_on_sweep_factors(name):
-    mf = load_model(FIXTURES / f"{name}.json")
-    params = mf.verify_params()
-    kwargs = dict(max_iter=params.max_iter, cycle_tol=params.cycle_tol)
-    maps = [mf.polynomial]
-    if mf.family is not None:
-        lam = mf.build_map().terms[0][0]
-        maps += [mf.build_map(lambda_override=lam * 10 ** (-2 + 3 * j / 60)) for j in (0, 29, 48, 60)]
-    for f in maps:
-        for c, _ in critical_census(f).free_criticals:
-            assert_same_as_3x3(f, c, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -937,162 +784,9 @@ def test_escape_to_overflow_reports_the_last_bounded_iterate():
     assert out.nearest_pole_index is None and out.pole_distance == math.inf
 
 
-# find_roots as it was when it ran its own Horner loops on raw coefficient
-# lists; the ComplexPoly form must return the same roots bit for bit up to
-# the sign of a zero.
-
-
-def _reference_coeff_scale(coeffs, r):
-    s, rk = 0.0, 1.0
-    for c in coeffs:
-        s += abs(c) * rk
-        rk *= r
-    return s
-
-
-def _reference_newton_polish(coeffs, dcoeffs, z, steps=4):
-    for _ in range(steps):
-        val = 0j
-        for c in reversed(coeffs):
-            val = val * z + c
-        dval = 0j
-        for c in reversed(dcoeffs):
-            dval = dval * z + c
-        if dval == 0:
-            break
-        step = val / dval
-        if not (math.isfinite(step.real) and math.isfinite(step.imag)):
-            break
-        z = z - step
-    return z
-
-
-def _reference_derivative_coeffs(coeffs):
-    return tuple(k * c for k, c in enumerate(coeffs) if k > 0)
-
-
-def reference_find_roots(poly):
-    coeffs = list(poly.coeffs)
-    n = len(coeffs) - 1
-    if n <= 0:
-        return []
-    zero_mult = 0
-    while zero_mult < n and coeffs[0] == 0:
-        coeffs.pop(0)
-        zero_mult += 1
-    results = []
-    if zero_mult:
-        results.append((0j, zero_mult))
-    m = len(coeffs) - 1
-    if m == 0:
-        return results
-    if m == 1:
-        roots = [-coeffs[0] / coeffs[1]]
-    else:
-        rng = random.Random(0xA8E27 + m)
-        r0 = abs(coeffs[0] / coeffs[-1]) ** (1.0 / m)
-        r0 = max(r0, 1e-12)
-        roots = []
-        for j in range(m):
-            theta = 2.0 * math.pi * (j + 0.3 * rng.random()) / m + 0.4337
-            rad = r0 * (1.0 + 0.12 * (rng.random() - 0.5))
-            roots.append(rad * complex(math.cos(theta), math.sin(theta)))
-        dcoeffs = _reference_derivative_coeffs(coeffs)
-        for _ in range(ABERTH_MAX_ITER):
-            max_step = 0.0
-            for k in range(m):
-                z = roots[k]
-                val = 0j
-                for c in reversed(coeffs):
-                    val = val * z + c
-                if val == 0:
-                    continue
-                dval = 0j
-                for c in reversed(dcoeffs):
-                    dval = dval * z + c
-                if dval == 0:
-                    roots[k] = z + 1e-8 * (1 + abs(z))
-                    max_step = 1.0
-                    continue
-                ratio = val / dval
-                acc = 0j
-                for j in range(m):
-                    if j != k:
-                        dz = z - roots[j]
-                        if dz == 0:
-                            dz = 1e-14 * (1 + abs(z))
-                        acc += 1.0 / dz
-                denom = 1.0 - ratio * acc
-                w = ratio if denom == 0 else ratio / denom
-                if not (math.isfinite(w.real) and math.isfinite(w.imag)):
-                    w = 0j
-                roots[k] = z - w
-                max_step = max(max_step, abs(w) / (1.0 + abs(roots[k])))
-            if max_step < 1e-14:
-                break
-    dcoeffs = _reference_derivative_coeffs(coeffs)
-    roots = [_reference_newton_polish(coeffs, dcoeffs, z) for z in roots]
-    res_tol = ROOT_RESIDUAL_RTOL * (1.0 + sum(abs(c) for c in poly.coeffs))
-    worst = 0.0
-    for z in roots:
-        val = 0j
-        for c in reversed(coeffs):
-            val = val * z + c
-        worst = max(worst, abs(val))
-    if worst > res_tol:
-        raise NonConvergence(f"root residual {worst:.3e} exceeds {res_tol:.3e}")
-    results.extend(_reference_cluster_roots(roots, coeffs))
-    results.sort(key=lambda rm: (rm[0].real, rm[0].imag))
-    return results
-
-
-def _reference_cluster_roots(roots, coeffs):
-    clusters = []
-    for z in sorted(roots, key=lambda w: (w.real, w.imag)):
-        for i, (c, m) in enumerate(clusters):
-            if abs(z - c) <= ROOT_CLUSTER_TOL * (1.0 + abs(c)):
-                clusters[i] = ((c * m + z) / (m + 1), m + 1)
-                break
-        else:
-            clusters.append((z, 1))
-    n = len(coeffs) - 1
-    changed = True
-    while changed and len(clusters) > 1:
-        changed = False
-        best = None
-        for i in range(len(clusters)):
-            for j in range(i + 1, len(clusters)):
-                d = abs(clusters[i][0] - clusters[j][0])
-                if best is None or d < best[0]:
-                    best = (d, i, j)
-        d, i, j = best
-        (ci, mi), (cj, mj) = clusters[i], clusters[j]
-        m = mi + mj
-        if m > n:
-            break
-        c = (ci * mi + cj * mj) / m
-        noise = 4.0 * n * EPS * max(_reference_coeff_scale(coeffs, abs(c)), 1e-300)
-        dm = list(coeffs)
-        for _ in range(m):
-            dm = list(_reference_derivative_coeffs(dm))
-        am = 0j
-        for cc in reversed(dm):
-            am = am * c + cc
-        am = abs(am) / math.factorial(m)
-        if am <= 0:
-            rho = float("inf")
-        else:
-            rho = 8.0 * (noise / am) ** (1.0 / m)
-        if d <= rho and rho <= 1e-2 * (1.0 + abs(c)):
-            dm1 = list(coeffs)
-            for _ in range(m - 1):
-                dm1 = list(_reference_derivative_coeffs(dm1))
-            c = _reference_newton_polish(dm1, _reference_derivative_coeffs(dm1), c, steps=40)
-            new = [cl for k, cl in enumerate(clusters) if k not in (i, j)]
-            new.append((c, m))
-            clusters = new
-            changed = True
-    return clusters
+# ---------------------------------------------------------------------------
+# find_roots against the roots oracle on raw coefficient lists: the same
+# roots bit for bit up to the sign of a zero.
 
 
 def roots_or_failure(solve, poly):
@@ -1145,3 +839,14 @@ def test_find_roots_matches_the_raw_coefficient_form_on_random_polynomials():
         got = assert_same_roots(poly)
         multiple += isinstance(got, list) and any(m > 1 for _, m in got)
     assert multiple
+
+
+def test_find_roots_keeps_the_polynomial_it_was_given():
+    # Without a zero root nothing deflates, so find_roots works on p itself:
+    # a second call binds no evaluator and derives no derivative again.
+    p = ComplexPoly.from_roots([1, -2, 3j, 0.5 - 0.5j], lead=2.0)
+    first = find_roots(p)
+    ev, dp = vars(p)["_evaluator"], p.derivative()
+    again = find_roots(p)
+    assert vars(p)["_evaluator"] is ev and p.derivative() is dp
+    assert [(bits(r), m) for r, m in again] == [(bits(r), m) for r, m in first]

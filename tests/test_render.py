@@ -8,16 +8,7 @@ import numpy as np
 import pytest
 
 from mcmlike.cli import _render_attractors
-from mcmlike.dynamics import (
-    ComplexPoly,
-    PoleHit,
-    auto_radius,
-    checked_escape_radius,
-    eval_map,
-    eval_unchecked,
-    reflections,
-    simple_poles_map,
-)
+from mcmlike.dynamics import ComplexPoly, Escaped, auto_radius, reflections, simple_poles_map
 from mcmlike.model_io import load_model
 from mcmlike.render import (
     BLOCK,
@@ -43,6 +34,7 @@ from mcmlike.render import (
 )
 
 from conftest import FIXTURES
+from oracles import masked_classify_points, masked_rgb, reference_iterate_orbit
 
 SQUARE = ComplexPoly([0, 0, 1])
 CUBE = ComplexPoly([0, 0, 0, 1])
@@ -92,33 +84,24 @@ def test_ppm_size_law(tmp_path):
 
 
 def test_grid_matches_scalar_orbits():
+    # The orbit oracle without revisits (cycle_tol 0) is the scalar form of
+    # the render rule: Escaped at the first step beyond the radius, on a
+    # non-finite iterate or on a pole collision, Undecided at max_iter.
     f = f_map()
     spec = RenderSpec(map=f, width=64, height=64, max_iter=64)
     grid = classify_grid(spec)
-    radius = auto_radius(f)
     xs = spec.center.real + (np.arange(64) - 32) * spec.pitch
     ys = spec.center.imag + (32 - np.arange(64)) * spec.pitch
     rng = random.Random(4242)
     for _ in range(30):
         ix, iy = rng.randrange(64), rng.randrange(64)
         z = complex(xs[ix], ys[iy])
-        kind, iters = KIND_UNDECIDED, 0
-        if abs(z) > radius:
-            kind, iters = KIND_ESCAPED, 0
+        out = reference_iterate_orbit(f, z, spec.max_iter, cycle_tol=0.0).outcome
+        if isinstance(out, Escaped):
+            assert grid.kind[iy, ix] == KIND_ESCAPED
+            assert grid.iters[iy, ix] == out.escape_index
         else:
-            for k in range(1, spec.max_iter + 1):
-                try:
-                    w = eval_map(f, z)
-                except PoleHit:
-                    kind, iters = KIND_ESCAPED, k
-                    break
-                if not (np.isfinite(w.real) and np.isfinite(w.imag)) or abs(w) > radius:
-                    kind, iters = KIND_ESCAPED, k
-                    break
-                z = w
-        assert grid.kind[iy, ix] == kind
-        if kind == KIND_ESCAPED:
-            assert grid.iters[iy, ix] == iters
+            assert grid.kind[iy, ix] == KIND_UNDECIDED
 
 
 def test_resolution_nesting_is_exact():
@@ -297,85 +280,14 @@ def test_classify_points_rejects_non_finite_escape_radius():
 
 
 # ---------------------------------------------------------------------------
-# References: a loop over a full-size active mask, and colouring by one
-# masked assignment per class.  They do the arithmetic of classify_points and
-# grid_to_rgb in the same order, so the outputs must be equal element for
+# classify_points and grid_to_rgb against the render oracles, which do the
+# same arithmetic in the same order: the outputs must be equal element for
 # element.
-
-
-def _masked_reference(f, pts, max_iter, escape_radius=None, attractors=None, capture_tol=1e-6):
-    """classify_points as a loop over a full-size active mask."""
-    radius = checked_escape_radius(f, escape_radius)
-    z = np.array(pts, dtype=np.complex128).ravel().copy()
-    npts = z.size
-    kind = np.zeros(npts, dtype=np.uint8)
-    iters = np.zeros(npts, dtype=np.int32)
-    bid = np.full(npts, -1, dtype=np.int16)
-    bph = np.full(npts, -1, dtype=np.int16)
-    apts = []
-    if attractors:
-        for aid, (points, _period) in enumerate(attractors):
-            for ph, p in enumerate(points):
-                apts.append((aid, ph, complex(p)))
-
-    out0 = np.abs(z) > radius
-    kind[out0] = KIND_ESCAPED
-    active = ~out0
-    for aid, ph, p in apts:
-        cap = active & (np.abs(z - p) <= capture_tol)
-        kind[cap] = KIND_BASIN
-        bid[cap] = aid
-        bph[cap] = ph
-        active &= ~cap
-
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for k in range(1, max_iter + 1):
-            idx = np.nonzero(active)[0]
-            if idx.size == 0:
-                break
-            w = eval_unchecked(f, z[idx])
-            finite = np.isfinite(w.real) & np.isfinite(w.imag)
-            esc = ~finite | (np.abs(np.where(finite, w, 0)) > radius)
-            esc_idx = idx[esc]
-            kind[esc_idx] = KIND_ESCAPED
-            iters[esc_idx] = k
-            rem = idx[~esc]
-            wr = w[~esc]
-            z[rem] = wr
-            active[esc_idx] = False
-            if apts:
-                open_rem = np.ones(rem.size, dtype=bool)
-                for aid, ph, p in apts:
-                    cap = open_rem & (np.abs(wr - p) <= capture_tol)
-                    ci = rem[cap]
-                    kind[ci] = KIND_BASIN
-                    bid[ci] = aid
-                    bph[ci] = ph
-                    active[ci] = False
-                    open_rem &= ~cap
-    return kind, iters, bid, bph
-
-
-def _masked_rgb(grid):
-    """grid_to_rgb as masked assignments per class."""
-    h, w = grid.kind.shape
-    rgb = np.zeros((h, w, 3), dtype=np.uint8)
-    esc = grid.kind == KIND_ESCAPED
-    val = (255 - np.minimum(8 * grid.iters.astype(np.int64), 255)).astype(np.uint8)
-    rgb[esc, 0] = val[esc]
-    rgb[esc, 1] = val[esc]
-    rgb[esc, 2] = 255
-    bas = grid.kind == KIND_BASIN
-    if bas.any():
-        pal = np.array(PALETTE8, dtype=np.uint8)
-        idx = (2 * grid.basin_id.astype(np.int64) + grid.basin_phase.astype(np.int64)) % 8
-        rgb[bas] = pal[idx[bas]]
-    return rgb
 
 
 def assert_matches_reference(f, pts, max_iter, **kw):
     got = classify_points(f, pts, max_iter, **kw)
-    want = _masked_reference(f, pts, max_iter, **kw)
+    want = masked_classify_points(f, pts, max_iter, **kw)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype
         assert np.array_equal(g, w)
@@ -580,7 +492,7 @@ def test_grid_to_rgb_matches_masked_colouring():
     grid = _label_grid()
     got = grid_to_rgb(grid)
     assert got.dtype == np.uint8 and got.shape == (1, grid.width, 3)
-    assert np.array_equal(got, _masked_rgb(grid))
+    assert np.array_equal(got, masked_rgb(grid))
 
 
 def test_grid_to_text_tags_every_label():
