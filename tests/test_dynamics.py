@@ -482,23 +482,30 @@ def assert_same_orbit(f, z0, **kwargs):
 CONCRETE = sorted(p.stem for p in FIXTURES.glob("*.json") if load_model(p).polynomial is not None)
 
 
-@pytest.mark.parametrize("name", CONCRETE)
-def test_iterate_orbit_matches_reference_on_fixture_critical_orbits(name):
+def assert_same_critical_orbits(name, factors):
     mf = load_model(FIXTURES / f"{name}.json")
     params = mf.verify_params()
     kwargs = dict(max_iter=params.max_iter, cycle_tol=params.cycle_tol)
     maps = [mf.polynomial]
     if mf.family is not None:
         lam = mf.build_map().terms[0][0]
-        # verify's sweep factors 10 ** (-2 + 3 j / 60) at j = 0, 29 and 48;
-        # j = 60 is the factor 10.
-        factors = (0.1, 1.0, 10.0) + tuple(10 ** (-2 + 3 * j / 60) for j in (0, 29, 48))
         maps += [mf.build_map(lambda_override=lam * s) for s in factors]
     outcomes = set()
     for f in maps:
         for c, _ in critical_census(f).free_criticals:
             outcomes.add(type(assert_same_orbit(f, c, **kwargs).outcome).__name__)
-    assert outcomes
+    return outcomes
+
+
+@pytest.mark.parametrize("name", CONCRETE)
+def test_iterate_orbit_matches_reference_on_fixture_critical_orbits(name):
+    assert assert_same_critical_orbits(name, (0.1, 1.0, 10.0))
+
+
+@pytest.mark.parametrize("name", CONCRETE)
+def test_iterate_orbit_matches_3x3_search_on_sweep_factors(name):
+    # verify's sweep factors; the name is that of their first, 3x3 cell-search reference.
+    assert_same_critical_orbits(name, [10 ** (-2 + 3 * j / 60) for j in (0, 29, 48, 60)])
 
 
 def test_iterate_orbit_matches_reference_on_random_orbits():
