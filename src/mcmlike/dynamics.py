@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 EPS = 2.220446049250313e-16
@@ -56,15 +56,16 @@ def _trim(coeffs: Sequence[complex]) -> Tuple[complex, ...]:
 
 
 class _Map:
-    """Base of the map types.  A map keeps what it derives on first use on
-    itself (``_evaluator``, a closure, and a polynomial's ``_derivative``);
-    a pickled map leaves those out and derives them again."""
+    """Base of the map types.  A map is an immutable value: assigning to a
+    field raises.  What it derives on first use (``_evaluator``, a closure,
+    and a polynomial's ``_derivative``) is kept on it for good; a pickled map
+    leaves those out and derives them again."""
 
     def __getstate__(self):
         return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ComplexPoly(_Map):
     """Polynomial with ascending complex coefficients: coeffs[k] * z**k.
 
@@ -79,7 +80,7 @@ class ComplexPoly(_Map):
         return self
 
     def __post_init__(self):
-        self.coeffs = _trim(self.coeffs)
+        object.__setattr__(self, "coeffs", _trim(self.coeffs))
 
     @property
     def degree(self) -> int:
@@ -107,15 +108,14 @@ class ComplexPoly(_Map):
         return _evaluator(self)(z)
 
     def derivative(self) -> "ComplexPoly":
-        """The derivative.  It is kept on self while self's coefficient tuple
-        stays the same object, so repeated calls (``eval_map_derivative`` at
-        every Newton step) share one polynomial and its bound evaluator."""
-        kept = self.__dict__.get("_derivative")
-        if kept is None or kept[0] is not self.coeffs:
-            cs = self.coeffs
-            dp = ComplexPoly(tuple(k * c for k, c in enumerate(cs) if k > 0) or (0j,))
-            kept = self.__dict__["_derivative"] = (cs, dp)
-        return kept[1]
+        """The derivative.  It is kept on self, so repeated calls
+        (``eval_map_derivative`` at every Newton step) share one polynomial
+        and its bound evaluator."""
+        dp = self.__dict__.get("_derivative")
+        if dp is None:
+            dcs = tuple(k * c for k, c in enumerate(self.coeffs) if k > 0)
+            dp = self.__dict__["_derivative"] = ComplexPoly(dcs or (0j,))
+        return dp
 
     def __add__(self, other: "ComplexPoly") -> "ComplexPoly":
         a, b = self.coeffs, other.coeffs
@@ -157,7 +157,7 @@ class ComplexPoly(_Map):
 PoleFactor = Tuple[complex, int]  # (location, order)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RationalMapExpr(_Map):
     """f = base + sum over terms (c, factors) of c / prod (z - a)^d.
 
@@ -322,11 +322,9 @@ def _source(key) -> str:
 
 
 def _evaluator(f: MapLike):
-    """f's compiled evaluator.  It is bound on f's first evaluation and kept
-    on f while f's coefficient tuple and term tuple stay the same objects."""
-    coeffs, terms = f.base.coeffs, f.terms
+    """f's compiled evaluator, bound on f's first evaluation and kept on f."""
     bound = f.__dict__.get("_evaluator")
-    if bound is None or bound[0] is not coeffs or bound[1] is not terms:
+    if bound is None:
         key, consts = _shape(f)
         factory = _factories.get(key)
         if factory is None:
@@ -335,8 +333,8 @@ def _evaluator(f: MapLike):
             scope: dict = {}
             exec(compile(_source(key), "<map shape>", "exec"), scope)
             factory = _factories[key] = scope["factory"]
-        bound = f.__dict__["_evaluator"] = (coeffs, terms, factory(*consts))
-    return bound[2]
+        bound = f.__dict__["_evaluator"] = factory(*consts)
+    return bound
 
 
 def orbit_points(f: MapLike, z: complex, period: int) -> List[complex]:
@@ -379,8 +377,8 @@ def _cycle_derivative(f: MapLike, z: complex, period: int) -> Tuple[complex, com
     """(f^period(z), (f^period)'(z)); raises PoleHit on pole collision."""
     w, deriv = z, 1 + 0j
     for _ in range(period):
-        deriv *= eval_map_derivative(f, w)
-        w = eval_map(f, w)
+        deriv *= eval_map_derivative(f, w)  # checks the poles at w
+        w = eval_unchecked(f, w)
     return w, deriv
 
 
@@ -651,9 +649,11 @@ class Undecided:
 
 @dataclass
 class OrbitRecord:
-    start: complex
-    samples: list = field(default_factory=list)
-    outcome: object = None
+    """The iterates an orbit computed (``samples[0]`` is its start) and what
+    became of it."""
+
+    samples: list
+    outcome: object
 
 
 # Cycle revisitation is only checked after this many iterates.
@@ -705,8 +705,7 @@ def iterate_orbit(
     bars = [POLE_COLLISION_RTOL * (1.0 + abs(a)) for a in poles]
     inf = math.inf
     bar = max(bars, default=-inf)
-    rec = OrbitRecord(start=z0, samples=[z0])
-    samples = rec.samples
+    samples = [z0]
     # Without a positive tolerance nothing can revisit and no cells are kept.
     side = max(8.0 * cycle_tol, escape_radius * 2.0**-48) if cycle_tol > 0 else 0.0
     if side:
@@ -726,8 +725,7 @@ def iterate_orbit(
         if not k or pd <= passage_dist:
             passage, passage_pole, passage_dist = z, pk, pd
         if not k and abs(z) > escape_radius:
-            rec.outcome = Escaped(0, z, z, passage_pole, pd)
-            return rec
+            return OrbitRecord(samples, Escaped(0, z, z, passage_pole, pd))
         if k >= CYCLE_TRANSIENT and side:
             lo = k - PERIOD_WINDOW  # the cells hold no j < CYCLE_TRANSIENT
             u, v = z.real / side, z.imag / side
@@ -752,8 +750,7 @@ def iterate_orbit(
                         best = j
                         break
             if best >= 0:
-                rec.outcome = ConvergedToCycle(k - best, samples[best], best)
-                return rec
+                return OrbitRecord(samples, ConvergedToCycle(k - best, samples[best], best))
             cells.setdefault((cx, cy), []).append(k)
         if k == max_iter:
             break
@@ -761,16 +758,13 @@ def iterate_orbit(
             for j, a in enumerate(poles):
                 d = abs(z - a)
                 if d <= bars[j]:
-                    rec.outcome = Escaped(k + 1, z, z, j, d)
-                    return rec
+                    return OrbitRecord(samples, Escaped(k + 1, z, z, j, d))
         z_new = evaluate(z)
         if not abs(z_new) <= escape_radius:
             # A finite escaping iterate is kept; a non-finite one is not.
             if math.isfinite(z_new.real) and math.isfinite(z_new.imag):
                 samples.append(z_new)
-            rec.outcome = Escaped(k + 1, z, passage, passage_pole, passage_dist)
-            return rec
+            return OrbitRecord(samples, Escaped(k + 1, z, passage, passage_pole, passage_dist))
         samples.append(z_new)
         z = z_new
-    rec.outcome = Undecided()
-    return rec
+    return OrbitRecord(samples, Undecided())

@@ -288,7 +288,6 @@ class NormalizedType:
     coeffs: Tuple[complex, ...]
     cycles: Tuple[Tuple[int, Tuple[int, ...]], ...]  # (period, degrees)
     pole_entries: Tuple[Tuple[int, int, int], ...]  # (cycle, phase, d)
-    cycle_points: Tuple[Tuple[complex, ...], ...]
 
 
 def _fuzzy_cmp(u: Sequence[float], v: Sequence[float], tol: float = 1e-9) -> int:
@@ -305,11 +304,9 @@ def _candidate_structure(model: HpcfpModel, a: complex, b: complex, pole_data: O
         [(cyc.period, pts, cyc.degrees) for cyc, pts in zip(model.cycles, txp)]
     )
     cycles_out = []
-    points_out = []
     for old in order:
-        cyc, pts, r = model.cycles[old], txp[old], rot[old]
+        cyc, r = model.cycles[old], rot[old]
         cycles_out.append((cyc.period, tuple(cyc.degrees[r:] + cyc.degrees[:r])))
-        points_out.append(pts[r:] + pts[:r])
     entries_out = []
     if pole_data is not None:
         new_of_old = {old: new for new, old in enumerate(order)}
@@ -317,7 +314,7 @@ def _candidate_structure(model: HpcfpModel, a: complex, b: complex, pole_data: O
             old = i - 1
             p = model.cycles[old].period
             entries_out.append((new_of_old[old] + 1, (j - rot[old]) % p, d))
-    return tuple(cycles_out), tuple(sorted(entries_out)), tuple(points_out)
+    return tuple(cycles_out), tuple(sorted(entries_out))
 
 
 def normalize_type(
@@ -361,8 +358,7 @@ def normalize_type(
         for c in gc:
             flat.append(c.real)
             flat.append(c.imag)
-        cycles_out, entries_out, points_out = _candidate_structure(model, a, b, pole_data)
-        cand = (flat, (cycles_out, entries_out), tuple(gc), points_out)
+        cand = (flat, _candidate_structure(model, a, b, pole_data), tuple(gc))
         if best is None:
             best = cand
             continue
@@ -373,7 +369,6 @@ def normalize_type(
         coeffs=best[2],
         cycles=best[1][0],
         pole_entries=best[1][1],
-        cycle_points=best[3],
     )
 
 

@@ -107,8 +107,6 @@ class RenderSpec:
 class ClassGrid:
     width: int
     height: int
-    center: complex
-    pitch: float
     kind: np.ndarray  # (h, w) uint8
     iters: np.ndarray  # (h, w) int32, escape index where kind == ESCAPED
     basin_id: np.ndarray  # (h, w) int16, -1 elsewhere
@@ -126,7 +124,6 @@ class ClassGrid:
 
 @dataclass
 class RadialProfile:
-    angle: float
     radii: np.ndarray
     kind: np.ndarray
     iters: np.ndarray
@@ -296,8 +293,6 @@ def classify_grid(spec: RenderSpec) -> ClassGrid:
     return ClassGrid(
         width=spec.width,
         height=spec.height,
-        center=spec.center,
-        pitch=spec.pitch,
         kind=kind,
         iters=iters,
         basin_id=bid,
@@ -331,9 +326,7 @@ def radial_profile(
     kind, iters, _, _ = _classify(spec, pts)
     esc = kind == KIND_ESCAPED
     alternations = int(np.count_nonzero(esc[1:] != esc[:-1]))
-    return RadialProfile(
-        angle=angle, radii=radii, kind=kind, iters=iters, alternations=alternations
-    )
+    return RadialProfile(radii=radii, kind=kind, iters=iters, alternations=alternations)
 
 
 def check_symmetry_order(m: int) -> None:

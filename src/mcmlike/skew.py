@@ -139,8 +139,6 @@ def classify_code(c: CodeWord, horizon: int) -> object:
 
 @dataclass
 class SkewCensus:
-    depth: int
-    horizon: int
     unburied: int
     buried_preperiodic: int
     undetermined: int
@@ -172,8 +170,6 @@ def census_at_depth(k: int, horizon: int) -> SkewCensus:
     else:
         preperiodic = total - unburied - _first_occurrence_count(h, L)
     return SkewCensus(
-        depth=k,
-        horizon=horizon,
         unburied=unburied,
         buried_preperiodic=preperiodic,
         undetermined=total - unburied - preperiodic,

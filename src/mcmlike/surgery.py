@@ -98,8 +98,6 @@ class LevelPlan:
     non-recurrence level inequality.
     """
 
-    r: float
-    groetzsch_c: float
     levels: Dict[int, Tuple[float, float, float]]
     delta: Dict[int, float]
     r_threshold: float
@@ -294,8 +292,6 @@ def plan_levels(
         raise ThresholdViolation(f"non-recurrence levels fail at phases {recurrent} for r = {r}")
 
     return LevelPlan(
-        r=r,
-        groetzsch_c=groetzsch_c,
         levels=levels,
         delta=delta,
         r_threshold=r_threshold(sc, groetzsch_c),

@@ -13,7 +13,7 @@ exists, only falsify it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Set, Tuple
 
 from .arith import ConditionReport, PoleData, check_condition
@@ -82,18 +82,21 @@ class ConvergesToBoundedCycle:
 
 @dataclass
 class CriticalOrbitEntry:
+    """One free critical orbit and its verdict; ``note`` says why an
+    inconsistent orbit is inconsistent and is None for a consistent one."""
+
     point: complex
     multiplicity: int
     record: OrbitRecord
     classification: object
     consistent: bool
+    note: Optional[str]
 
 
 @dataclass
 class CriticalOrbitReport:
     entries: List[CriticalOrbitEntry]
     pole_domains: Tuple[Optional[Tuple[int, int]], ...]
-    notes: List[str] = field(default_factory=list)
 
     @property
     def all_consistent(self) -> bool:
@@ -104,7 +107,6 @@ class CriticalOrbitReport:
 class UntouchedCycleCheck:
     cycle: int
     period: int
-    start: complex
     found: Optional[complex]
     multiplier: Optional[float]
     persisted: bool
@@ -464,18 +466,13 @@ def classify_critical_orbits(
     radius = checked_escape_radius(f, params.escape_radius)
 
     entries = []
-    notes: List[str] = []
     for c, mult in census.free_criticals:
         rec = iterate_orbit(
             f, c, max_iter=params.max_iter, escape_radius=radius, cycle_tol=params.cycle_tol
         )
-        classification, consistent, note = _orbit_verdict(
-            c, rec.outcome, model, doors, touched_cycles, params
-        )
-        entries.append(CriticalOrbitEntry(c, mult, rec, classification, consistent))
-        if note is not None:
-            notes.append(note)
-    return CriticalOrbitReport(entries=entries, pole_domains=pole_domains, notes=notes)
+        verdict = _orbit_verdict(c, rec.outcome, model, doors, touched_cycles, params)
+        entries.append(CriticalOrbitEntry(c, mult, rec, *verdict))
+    return CriticalOrbitReport(entries=entries, pole_domains=pole_domains)
 
 
 def untouched_cycle_checks(
@@ -500,7 +497,7 @@ def untouched_cycle_checks(
         persisted = (
             converged and mult < 1.0 and abs(found - start) <= 0.05 * (1.0 + abs(start))
         )
-        checks.append(UntouchedCycleCheck(cyc.index, cyc.period, start, found, mult, persisted))
+        checks.append(UntouchedCycleCheck(cyc.index, cyc.period, found, mult, persisted))
     return checks
 
 
@@ -541,7 +538,7 @@ def verify_family(
         orbit_report = classify_critical_orbits(
             f, expected_model, expected_pole_data, census, params
         )
-        details.extend("orbits: " + s for s in orbit_report.notes)
+        details.extend("orbits: " + e.note for e in orbit_report.entries if e.note is not None)
 
     untouched_checks = untouched_cycle_checks(
         f, expected_model, expected_pole_data, params.newton_tol

@@ -117,7 +117,7 @@ def reference_iterate_orbit(f, z0, max_iter=512, escape_radius=None, cycle_tol=1
     is found by scanning back up to PERIOD_WINDOW iterates."""
     escape_radius = checked_escape_radius(f, escape_radius)
     poles = [a for a, _ in pole_orders(f)]
-    rec = OrbitRecord(start=z0, samples=[z0])
+    samples = [z0]
 
     def approach(z):
         if not poles:
@@ -128,25 +128,20 @@ def reference_iterate_orbit(f, z0, max_iter=512, escape_radius=None, cycle_tol=1
     passage, passage_pole, passage_dist = z0, pk, pd
     z = z0
     if abs(z) > escape_radius:
-        rec.outcome = Escaped(0, z0, z0, pk, pd)
-        return rec
+        return OrbitRecord(samples, Escaped(0, z0, z0, pk, pd))
     for k in range(1, max_iter + 1):
         for j, a in enumerate(poles):
             d = abs(z - a)
             if d <= POLE_COLLISION_RTOL * (1.0 + abs(a)):
-                rec.outcome = Escaped(k, z, z, j, d)
-                return rec
+                return OrbitRecord(samples, Escaped(k, z, z, j, d))
         z_new = interpretive_eval(f, z)
         if not (math.isfinite(z_new.real) and math.isfinite(z_new.imag)):
-            rec.outcome = Escaped(k, z, passage, passage_pole, passage_dist)
-            return rec
-        rec.samples.append(z_new)
+            return OrbitRecord(samples, Escaped(k, z, passage, passage_pole, passage_dist))
+        samples.append(z_new)
         if abs(z_new) > escape_radius:
             if poles:
-                rec.outcome = Escaped(k, z, passage, passage_pole, passage_dist)
-            else:
-                rec.outcome = Escaped(k, z, z, None, float("inf"))
-            return rec
+                return OrbitRecord(samples, Escaped(k, z, passage, passage_pole, passage_dist))
+            return OrbitRecord(samples, Escaped(k, z, z, None, float("inf")))
         pk, pd = approach(z_new)
         if poles and pd <= passage_dist:
             passage, passage_pole, passage_dist = z_new, pk, pd
@@ -154,11 +149,9 @@ def reference_iterate_orbit(f, z0, max_iter=512, escape_radius=None, cycle_tol=1
         if k >= CYCLE_TRANSIENT:
             lo = max(CYCLE_TRANSIENT, k - PERIOD_WINDOW)
             for j in range(k - 1, lo - 1, -1):
-                if abs(z - rec.samples[j]) < cycle_tol:
-                    rec.outcome = ConvergedToCycle(k - j, rec.samples[j], j)
-                    return rec
-    rec.outcome = Undecided()
-    return rec
+                if abs(z - samples[j]) < cycle_tol:
+                    return OrbitRecord(samples, ConvergedToCycle(k - j, samples[j], j))
+    return OrbitRecord(samples, Undecided())
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,21 @@ def test_verify_f_family_pole_ball():
     assert abs(min(passages) - 0.2) <= 1e-9
 
 
+@pytest.mark.parametrize("name", ["q_family", "r_milnor", "f_cubic"])
+def test_orbit_entries_carry_the_notes_verify_reports(name):
+    mf = load_model(FIXTURES / f"{name}.json")
+    f = mf.build_map()
+    f = mf.build_map(lambda_override=f.terms[0][0] * 1.6)
+    verdict = verify_family(f, classify_polynomial(mf.polynomial), mf.pole_data, mf.verify_params())
+    entries = verdict.orbit_report.entries
+    assert all((e.note is None) == e.consistent for e in entries)
+    notes = [d[len("orbits: "):] for d in verdict.details if d.startswith("orbits: ")]
+    assert notes == [e.note for e in entries if not e.consistent]
+    if name == "f_cubic":
+        # Every orbit passes its pole at 2 * sqrt(0.016) = 0.253 > poleBall 0.25.
+        assert len(entries) == 6 and len(notes) == 6
+
+
 def test_verify_g_family():
     f, model, pd, params = load_family("g_cubic")
     verdict = verify_family(f, model, pd, params)
