@@ -2,9 +2,9 @@
 """Check that the test oracles catch known wrong implementations.
 
 Copies src/, tests/ and fixtures/ into a temporary directory, checks that
-the unchanged copy passes tests/test_dynamics.py and tests/test_render.py,
-then applies one mutant at a time to the copy and runs those two files
-again.  A mutant is caught when the tests fail.
+the unchanged copy passes tests/test_dynamics.py, tests/test_render.py and
+tests/test_model.py, then applies one mutant at a time to the copy and runs
+those three files again.  A mutant is caught when the tests fail.
 
 Exit status 0 when every mutant is caught; 1 when one survives, its anchor
 text is not found exactly once, or the unchanged copy does not pass.
@@ -20,7 +20,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TESTS = ["tests/test_dynamics.py", "tests/test_render.py"]
+TESTS = ["tests/test_dynamics.py", "tests/test_render.py", "tests/test_model.py"]
 
 # (name, file, anchor, replacement)
 MUTANTS = [
@@ -47,6 +47,12 @@ MUTANTS = [
         "src/mcmlike/render.py",
         "iters[out] = k if steps == 1 else k + first[esc]",
         "iters[out] = k",
+    ),
+    (
+        "count a strictly preperiodic critical point into its phase's degree",
+        "src/mcmlike/model.py",
+        "        if pre == 0:\n",
+        "        if pre is not None:\n",
     ),
 ]
 

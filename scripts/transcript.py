@@ -28,7 +28,12 @@ render --diagnostics of f_cubic at 8x8 with --ray-angle nan (exit 2);
 last, plan of q_family with --seed 1e300 (its levels underflow: exit 1),
 --seed 1e-300, --cycle 5 and --r 1e-320 (exit 2), and render of q_family
 at 4x4 with --half-width 1e308 (the pixel pitch overflows: exit 2); then
-plan of q_family with --r 1e-308 (its inner levels underflow: exit 1).
+plan of q_family with --r 1e-308 (its inner levels underflow: exit 1);
+then classify --poly of z^3 - 3z + 3 (its critical point -1 escapes), of
+z^2 - 0.5 (a period-2 revisit reduced to an attracting fixed point) and of
+a cubic with a strictly preperiodic critical point; last, check, eig and
+plan of z^3 - 3z + 3 with a pole of order 3 on its fixed point, and verify
+of a family on it (the escaping critical point makes each of them exit 2).
 ``--only <subcommand>`` keeps that subcommand's rows alone.  Runs
 happen in process, in a scratch directory holding a copy of the fixtures,
 so paths in the output do not depend on the checkout.  Standard library
@@ -47,6 +52,16 @@ import tempfile
 
 VERIFY_STEPS = 60
 OUTPUTS = ("out.ppm", "out.txt")
+
+# z^3 - 3z + 3 is not postcritically finite: its critical point -1 escapes
+# and 1 is a super-attracting fixed point.
+ESCAPING = {"polynomial": [[3, 0], [-3, 0], [0, 0], [1, 0]],
+            "pole_data": [{"cycle": 1, "phase": 0, "d": 3}]}
+ESCAPING_FAMILY = dict(
+    ESCAPING,
+    family={"kind": "simple_poles", "poles": [{"location": [1, 0], "order": 3, "lambda": [1e-6, 0]}]},
+    params={"maxIter": 2000},
+)
 
 
 def fixture_lambda(path):
@@ -117,6 +132,12 @@ def rows(fixtures):
     yield ["render", fx("q_family"), "--out", OUTPUTS[0], "--width", "4", "--height", "4",
            "--half-width", "1e308"]
     yield ["plan", fx("q_family"), "--r", "1e-308"]
+    yield ["classify", "--poly", "3,-3,0,1"]
+    yield ["classify", "--poly=-0.5,0,1"]
+    yield ["classify", "--poly=0,0,-2.598076211353316j,1"]
+    for cmd in ("check", "eig", "plan"):
+        yield [cmd, "escaping.json"]
+    yield ["verify", "escaping_family.json"]
 
 
 def sha(data):
@@ -154,6 +175,9 @@ def main(argv=None):
 
     with tempfile.TemporaryDirectory() as work:
         shutil.copytree(os.path.join(root, "fixtures"), os.path.join(work, "fixtures"))
+        for name, data in (("escaping.json", ESCAPING), ("escaping_family.json", ESCAPING_FAMILY)):
+            with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
+                json.dump(data, fh)
         here = os.getcwd()
         os.chdir(work)
         try:

@@ -80,22 +80,28 @@ def _load(path: str) -> ModelFile:
         raise CliError(f"no such file: {path}") from exc
 
 
-def _classify(mf: ModelFile) -> HpcfpModel:
-    """The file's polynomial, classified with the file's ``maxIter``."""
+def _model(mf: ModelFile) -> HpcfpModel:
+    """The file's abstract model, or its polynomial classified with the
+    file's ``maxIter``."""
+    if mf.abstract is not None:
+        return mf.abstract
     return classify_polynomial(mf.polynomial, max_iter=mf.verify_params().max_iter)
 
 
 def _resolve(mf: ModelFile) -> Tuple[HpcfpModel, PoleData]:
-    """Model + pole data for condition-style commands."""
-    if mf.abstract is not None:
-        model = mf.abstract
-    else:
-        model = _classify(mf)
-        if mf.pole_data is not None:
-            mf.pole_data.validate(model)
+    """Model + pole data for condition-style commands.
+
+    A classified polynomial must be postcritically finite: an escaping
+    critical orbit raises NotHpcfp naming the first such critical point.
+    """
+    model = _model(mf)
+    escaping = [a.point for a in model.criticals if a.cycle is None]
+    if escaping:
+        raise NotHpcfp(f"critical orbit from {escaping[0]} escapes; not postcritically finite")
     pd = mf.pole_data
     if pd is None:
         raise CliError("model file has no pole_data")
+    pd.validate(model)
     return model, pd
 
 
@@ -144,14 +150,11 @@ def cmd_classify(args) -> int:
     else:
         raise CliError("give --poly or a model file")
 
-    if mf.abstract is not None:
-        model = mf.abstract
-    else:
-        try:
-            model = _classify(mf)
-        except (NotHpcfp, MultiplierNotZero) as exc:
-            print(f"not classifiable: {exc}")
-            return 1
+    try:
+        model = _model(mf)
+    except (NotHpcfp, MultiplierNotZero) as exc:
+        print(f"not classifiable: {exc}")
+        return 1
 
     n_cycles = len(model.cycles)
     if n_cycles == 1:
@@ -290,7 +293,7 @@ def _render_attractors(mf: ModelFile, fmap: MapLike) -> Tuple[Optional[list], Op
     from .verify import untouched_cycle_checks
 
     try:
-        model = _classify(mf)
+        model = _model(mf)
     except (NotHpcfp, MultiplierNotZero) as exc:
         return None, f"no attractors: {exc}"
     if mf.pole_data is not None:
@@ -343,8 +346,8 @@ def cmd_typecmp(args) -> int:
     mfb = _load(args.model_b)
     if mfa.polynomial is None or mfb.polynomial is None:
         raise CliError("typecmp needs polynomial models")
-    ta = normalize_type(mfa.polynomial, pole_data=mfa.pole_data, model=_classify(mfa))
-    tb = normalize_type(mfb.polynomial, pole_data=mfb.pole_data, model=_classify(mfb))
+    ta = normalize_type(mfa.polynomial, pole_data=mfa.pole_data, model=_model(mfa))
+    tb = normalize_type(mfb.polynomial, pole_data=mfb.pole_data, model=_model(mfb))
     equal = types_equal(ta, tb)
     print("types equal" if equal else "types differ")
     return 0 if equal else 1

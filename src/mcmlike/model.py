@@ -19,7 +19,6 @@ from typing import List, Optional, Sequence, Tuple
 from .arith import PoleData
 from .dynamics import (
     ComplexPoly,
-    ConvergedToCycle,
     Escaped,
     Undecided,
     auto_radius,
@@ -81,7 +80,6 @@ class CriticalAssignment:
 class HpcfpModel:
     degree: int
     cycles: Tuple[CycleSpec, ...]
-    polynomial: Optional[ComplexPoly] = None
     criticals: Tuple[CriticalAssignment, ...] = ()
     notes: Tuple[str, ...] = ()
 
@@ -167,17 +165,19 @@ def classify_polynomial(p: ComplexPoly, max_iter: int = 2000) -> HpcfpModel:
 
     multipliers: List[float] = []
     pool_points: List[List[complex]] = []
-    records = []
+    # One (critical, multiplicity, pool index, phase, preperiod) per critical
+    # point, phases in raw orbit order; the last three are None on escape.
+    fates = []
     notes: List[str] = []
 
     for c, mult in crits:
         orbit = iterate_orbit(p, c, max_iter=max_iter, escape_radius=radius, cycle_tol=CYCLE_TOL)
-        if isinstance(orbit.outcome, Undecided):
+        out = orbit.outcome
+        if isinstance(out, Undecided):
             raise NotHpcfp(f"critical orbit from {c} undecided after {max_iter} iterations")
-        if isinstance(orbit.outcome, Escaped):
-            records.append((c, mult, orbit, None))
+        if isinstance(out, Escaped):
+            fates.append((c, mult, None, None, None))
             continue
-        out: ConvergedToCycle = orbit.outcome
         # Newton is well conditioned near super-attracting cycles.
         z = newton_cycle(p, out.representative, out.period, 1e-13)[0]
         period = _reduce_period(p, z, out.period)
@@ -191,83 +191,59 @@ def classify_polynomial(p: ComplexPoly, max_iter: int = 2000) -> HpcfpModel:
             raise MultiplierNotZero(
                 f"cycle through {z} has multiplier modulus {abs(lam):.3e}"
             )
-        cid = None
-        for k, existing in enumerate(pool_points):
-            if len(existing) != period:
-                continue
-            d0 = min(abs(pts[0] - y) for y in existing)
-            if d0 <= 1e-6 * (1.0 + abs(pts[0])):
-                cid = k
-                break
+        cid = next(
+            (k for k, known in enumerate(pool_points) if len(known) == period
+             and min(abs(pts[0] - y) for y in known) <= MATCH_TOL * (1.0 + abs(pts[0]))),
+            None,
+        )
         if cid is None:
             multipliers.append(abs(lam))
             pool_points.append(pts)
             cid = len(pool_points) - 1
-        records.append((c, mult, orbit, cid))
-
-    # Assign criticals to phases in raw orbit order first; the canonical
-    # rotation below needs the degrees.
-    raw = []
-    degree_count = [[0] * len(pts) for pts in pool_points]
-    for c, mult, orbit, cid in records:
-        if cid is None:
-            raw.append((c, mult, None, None, None))
-            continue
+        # Phases are read on the cycle's points as first found, so that every
+        # critical point on one cycle is phased alike.
         pts = pool_points[cid]
-        period = len(pts)
-        pre, phase = None, None
-        for k, zk in enumerate(orbit.samples):
-            hits = [j for j in range(period) if abs(zk - pts[j]) <= MATCH_TOL * (1.0 + abs(pts[j]))]
-            if hits:
-                pre, phase = k, hits[0]
-                break
-        if pre is None:
+        landing = next(
+            ((k, j) for k, zk in enumerate(orbit.samples) for j in range(period)
+             if abs(zk - pts[j]) <= MATCH_TOL * (1.0 + abs(pts[j]))),
+            None,
+        )
+        if landing is None:
             # Converged without any sample landing on the cycle within
             # MATCH_TOL; treat as preperiodic at the convergence index.
-            pre = orbit.outcome.convergence_index
-            phase = min(range(period), key=lambda j: abs(orbit.samples[-1] - pts[j]))
+            landing = (out.convergence_index,
+                       min(range(period), key=lambda j: abs(orbit.samples[-1] - pts[j])))
             notes.append(f"critical {c} converged to cycle without landing inside match_tol")
-            warnings.warn(notes[-1], ModelWarning)
+        pre, phase = landing
         if pre > 0:
             notes.append(f"critical {c} is strictly preperiodic (preperiod {pre})")
-            warnings.warn(notes[-1], ModelWarning)
-        else:
-            degree_count[cid][phase] += mult
-        raw.append((c, mult, cid, phase, pre))
-
-    degrees = [[1 + m for m in counts] for counts in degree_count]
-    rotations, order = _canonical_labels(
-        [(len(pts), pts, deg) for pts, deg in zip(pool_points, degrees)]
-    )
-    remap = {old: new for new, old in enumerate(order)}
-
-    assignments = []
-    for c, mult, cid, phase, pre in raw:
-        if cid is None:
-            assignments.append(CriticalAssignment(c, mult, None, None, None))
-            continue
-        per = len(pool_points[cid])
-        assignments.append(
-            CriticalAssignment(c, mult, remap[cid] + 1, (phase - rotations[cid]) % per, pre)
-        )
+        fates.append((c, mult, cid, phase, pre))
 
     if not pool_points:
         raise NotHpcfp("every critical orbit escapes; no bounded cycle (N=0)")
+    for note in notes:
+        warnings.warn(note, ModelWarning)
 
+    degrees = [[1] * len(pts) for pts in pool_points]
+    for c, mult, cid, phase, pre in fates:
+        if pre == 0:
+            degrees[cid][phase] += mult
+    rotations, order = _canonical_labels(
+        [(len(pts), pts, deg) for pts, deg in zip(pool_points, degrees)]
+    )
     specs = []
     for new, old in enumerate(order, start=1):
         r, pts, deg = rotations[old], pool_points[old], degrees[old]
         specs.append(
             CycleSpec(new, len(pts), tuple(deg[r:] + deg[:r]), tuple(pts[r:] + pts[:r]), multipliers[old])
         )
-
-    return HpcfpModel(
-        degree=n,
-        cycles=tuple(specs),
-        polynomial=p,
-        criticals=tuple(assignments),
-        notes=tuple(notes),
-    )
+    remap = {old: new for new, old in enumerate(order, start=1)}
+    assignments = [
+        CriticalAssignment(c, mult, None, None, None) if cid is None else
+        CriticalAssignment(c, mult, remap[cid], (phase - rotations[cid]) % len(pool_points[cid]), pre)
+        for c, mult, cid, phase, pre in fates
+    ]
+    return HpcfpModel(degree=n, cycles=tuple(specs), criticals=tuple(assignments), notes=tuple(notes))
 
 
 def riemann_hurwitz_check(model: HpcfpModel) -> bool:

@@ -135,6 +135,27 @@ def test_root_finder_failure_is_operational_error(run, tmp_path):
         assert err == "error: non-finite root or residual\n"
 
 
+def test_escaping_critical_point_is_operational_error(run, tmp_path):
+    # z^3 - 3z + 3 is not postcritically finite: its critical point -1
+    # escapes.  classify reports that as a verdict; the commands that read
+    # the model need a postcritically finite P.
+    data = {"polynomial": [[3, 0], [-3, 0], [0, 0], [1, 0]],
+            "pole_data": [{"cycle": 1, "phase": 0, "d": 3}]}
+    path = tmp_path / "escaping.json"
+    path.write_text(json.dumps(data))
+    data["family"] = {"kind": "simple_poles", "poles": [{"location": [1, 0], "order": 3, "lambda": [1e-6, 0]}]}
+    family = tmp_path / "escaping_family.json"
+    family.write_text(json.dumps(data))
+    for cmd, model in (("check", path), ("eig", path), ("plan", path), ("verify", family)):
+        code, out, err = run(cmd, str(model))
+        assert code == 2 and out == ""
+        assert err == "error: critical orbit from (-1+0j) escapes; not postcritically finite\n"
+    code, out, _ = run("classify", str(path))
+    assert code == 1
+    assert "critical -1+0i mult 1 -> escapes" in out
+    assert out.endswith("rh check: FAIL\n")
+
+
 def test_plan_q_defaults(run):
     code, out, _ = run("plan", fx("q_abstract"))
     assert code == 0

@@ -72,11 +72,25 @@ def test_every_orbit_escapes_is_rejected():
         classify_polynomial(ComplexPoly([1, 0, 1]))  # z^2 + 1
 
 
+def test_escaping_critical_is_assigned_no_cycle():
+    # z^3 - 3z + 3: critical 1 is a super-attracting fixed point, -1 escapes.
+    model = classify_polynomial(ComplexPoly([3, -3, 0, 1]))
+    assert [c.degrees for c in model.cycles] == [(2,)]
+    escaping = [a for a in model.criticals if a.cycle is None]
+    assert len(escaping) == 1 and abs(escaping[0].point + 1) < 1e-12
+    assert not model.is_hpcfp
+    assert not riemann_hurwitz_check(model)
+
+
 def test_attracting_but_not_superattracting_is_rejected():
     with pytest.raises(MultiplierNotZero):
         classify_polynomial(ComplexPoly([0.1, 0, 1]))  # z^2 + 0.1
     with pytest.raises(MultiplierNotZero):
         classify_polynomial(ComplexPoly([-2, 0, 1]))  # z^2 - 2 lands on repelling 2
+    # z^2 - 0.5 revisits with period 2, which reduces to the attracting fixed
+    # point (1 - sqrt3) / 2.
+    with pytest.raises(MultiplierNotZero, match=r"through \(-0\.36602540378443865\+0j\) "):
+        classify_polynomial(ComplexPoly([-0.5, 0, 1]))
 
 
 def test_parabolic_orbit_is_undecided():
