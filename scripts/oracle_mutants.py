@@ -2,9 +2,10 @@
 """Check that the test oracles catch known wrong implementations.
 
 Copies src/, tests/ and fixtures/ into a temporary directory, checks that
-the unchanged copy passes tests/test_dynamics.py, tests/test_render.py and
-tests/test_model.py, then applies one mutant at a time to the copy and runs
-those three files again.  A mutant is caught when the tests fail.
+the unchanged copy passes tests/test_dynamics.py, tests/test_render.py,
+tests/test_model.py and tests/test_skew.py, then applies one mutant at a
+time to the copy and runs those four files again.  A mutant is caught when
+the tests fail.
 
 Exit status 0 when every mutant is caught; 1 when one survives, its anchor
 text is not found exactly once, or the unchanged copy does not pass.
@@ -20,7 +21,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TESTS = ["tests/test_dynamics.py", "tests/test_render.py", "tests/test_model.py"]
+TESTS = [
+    "tests/test_dynamics.py", "tests/test_render.py", "tests/test_model.py", "tests/test_skew.py",
+]
 
 # (name, file, anchor, replacement)
 MUTANTS = [
@@ -53,6 +56,12 @@ MUTANTS = [
         "src/mcmlike/model.py",
         "        if pre == 0:\n",
         "        if pre is not None:\n",
+    ),
+    (
+        "refinement test against the wrong end of the earlier cylinder",
+        "src/mcmlike/skew.py",
+        "traj[s1].bits[:len(tail)] == tail",
+        "traj[s1].bits[-len(tail):] == tail",
     ),
 ]
 

@@ -373,8 +373,14 @@ def eval_map_derivative(f: MapLike, z: complex) -> complex:
     return val
 
 
-def _cycle_derivative(f: MapLike, z: complex, period: int) -> Tuple[complex, complex]:
-    """(f^period(z), (f^period)'(z)); raises PoleHit on pole collision."""
+def cycle_derivative(f: MapLike, z: complex, period: int) -> Tuple[complex, complex]:
+    """(f^period(z), (f^period)'(z)); raises PoleHit on pole collision.
+
+    The chain rule, f' at z, f(z), ..., f^(period-1)(z) multiplied in that
+    order.  ``newton_cycle`` steps with both values and reports the second
+    as a cycle's multiplier; ``model.classify_polynomial`` reads the second
+    at a polynomial's cycle point, where f' is the cached ``p.derivative()``.
+    """
     w, deriv = z, 1 + 0j
     for _ in range(period):
         deriv *= eval_map_derivative(f, w)  # checks the poles at w
@@ -395,7 +401,7 @@ def newton_cycle(
     z = z0
     for _ in range(80):
         try:
-            w, deriv = _cycle_derivative(f, z, period)
+            w, deriv = cycle_derivative(f, z, period)
         except PoleHit:
             return None, False, None
         if not (math.isfinite(w.real) and math.isfinite(w.imag)):
@@ -407,7 +413,7 @@ def newton_cycle(
         z = z - step
         if abs(step) <= tol * (1.0 + abs(z)):
             try:
-                return z, True, _cycle_derivative(f, z, period)[1]
+                return z, True, cycle_derivative(f, z, period)[1]
             except PoleHit:
                 return z, False, None
     return z, False, None

@@ -22,6 +22,7 @@ from .dynamics import (
     Escaped,
     Undecided,
     auto_radius,
+    cycle_derivative,
     find_roots,
     iterate_orbit,
     newton_cycle,
@@ -159,8 +160,7 @@ def classify_polynomial(p: ComplexPoly, max_iter: int = 2000) -> HpcfpModel:
     n = p.degree
     if n < 2:
         raise ValueError("degree must be >= 2")
-    dp = p.derivative()
-    crits = find_roots(dp)
+    crits = find_roots(p.derivative())
     radius = auto_radius(p)
 
     multipliers: List[float] = []
@@ -184,9 +184,7 @@ def classify_polynomial(p: ComplexPoly, max_iter: int = 2000) -> HpcfpModel:
         if period != out.period:
             z = newton_cycle(p, z, period, 1e-13)[0]
         pts = orbit_points(p, z, period)
-        lam = 1 + 0j
-        for x in pts:
-            lam *= dp.eval(x)
+        lam = cycle_derivative(p, z, period)[1]
         if abs(lam) >= SUPERATTRACTING_TOL:
             raise MultiplierNotZero(
                 f"cycle through {z} has multiplier modulus {abs(lam):.3e}"

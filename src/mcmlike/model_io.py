@@ -161,11 +161,12 @@ def _pair(z: complex) -> List[float]:
     return [z.real, z.imag]
 
 
-def _require_keys(d: dict, allowed: set, required: set, ctx: str) -> None:
+def _require_keys(d: dict, keys: set, ctx: str) -> None:
+    """d must hold exactly keys; an unknown key is reported before a missing one."""
     for k in d:
-        if k not in allowed:
+        if k not in keys:
             raise SchemaError(f"unknown key in {ctx}", key=k)
-    for k in required:
+    for k in keys:
         if k not in d:
             raise SchemaError(f"missing key in {ctx}", key=k)
 
@@ -206,7 +207,7 @@ def _parse_polynomial(v) -> ComplexPoly:
 def _parse_abstract(v) -> HpcfpModel:
     if not isinstance(v, dict):
         raise SchemaError("abstract must be an object", key="abstract")
-    _require_keys(v, {"degree", "cycles"}, {"degree", "cycles"}, "abstract")
+    _require_keys(v, {"degree", "cycles"}, "abstract")
     degree = _integer(v["degree"], "degree", 2)
     cycles_raw = v["cycles"]
     if not isinstance(cycles_raw, list) or not cycles_raw:
@@ -215,7 +216,7 @@ def _parse_abstract(v) -> HpcfpModel:
     for c in cycles_raw:
         if not isinstance(c, dict):
             raise SchemaError("cycle must be an object", key="cycles")
-        _require_keys(c, {"period", "degrees"}, {"period", "degrees"}, "cycle")
+        _require_keys(c, {"period", "degrees"}, "cycle")
         period = _integer(c["period"], "period", 1)
         degs = c["degrees"]
         if not isinstance(degs, list) or len(degs) != period:
@@ -234,7 +235,7 @@ def _parse_pole_data(v, model: Optional[HpcfpModel]) -> PoleData:
     for e in v:
         if not isinstance(e, dict):
             raise SchemaError("pole_data entry must be an object", key="pole_data")
-        _require_keys(e, {"cycle", "phase", "d"}, {"cycle", "phase", "d"}, "pole_data entry")
+        _require_keys(e, {"cycle", "phase", "d"}, "pole_data entry")
         cyc = _integer(e["cycle"], "cycle", 1)
         ph = _integer(e["phase"], "phase", 0)
         d = _integer(e["d"], "d", 1)
@@ -270,7 +271,7 @@ def _parse_poles(
     for p in v:
         if not isinstance(p, dict):
             raise SchemaError(f"{entry} must be an object", key=list_key)
-        _require_keys(p, keys, keys, entry)
+        _require_keys(p, keys, entry)
         loc = _complex_value(p["location"], "location")
         order = _integer(p["order"], "order", 1)
         lam = _lambda(p["lambda"]) if with_lambda else None
@@ -286,11 +287,11 @@ def _parse_family(v) -> FamilySpec:
         raise SchemaError("family must be an object", key="family")
     kind = v.get("kind")
     if kind == "simple_poles":
-        _require_keys(v, {"kind", "poles"}, {"kind", "poles"}, "family")
+        _require_keys(v, {"kind", "poles"}, "family")
         poles = _parse_poles(v["poles"], "poles", "pole", with_lambda=True)
         return FamilySpec(kind, tuple((lam, ((a, d),)) for a, d, lam in poles))
     if kind == "product_pole":
-        _require_keys(v, {"kind", "lambda", "factors"}, {"kind", "lambda", "factors"}, "family")
+        _require_keys(v, {"kind", "lambda", "factors"}, "family")
         lam = _lambda(v["lambda"])
         factors = _parse_poles(v["factors"], "factors", "factor", with_lambda=False)
         return FamilySpec(kind, ((lam, tuple((a, d) for a, d, _ in factors)),))

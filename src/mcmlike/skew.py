@@ -95,21 +95,6 @@ def skew_step(s: SkewState, n: int, d: int) -> SkewState:
     return SkewState(new_code, (-d * s.angle) % 1.0)
 
 
-def _to_int(c: CodeWord) -> Tuple[int, int]:
-    x = 0
-    for b in c.bits:
-        x = (x << 1) | b
-    return x, c.depth
-
-
-def _int_step(x: int, length: int) -> Tuple[int, int]:
-    mask = (1 << (length - 1)) - 1
-    tail = x & mask
-    if (x >> (length - 1)) & 1:
-        return tail, length - 1
-    return tail ^ mask, length - 1
-
-
 def classify_code(c: CodeWord, horizon: int) -> object:
     """Classify one cylinder by iterating the base map up to horizon steps.
 
@@ -120,19 +105,16 @@ def classify_code(c: CodeWord, horizon: int) -> object:
     """
     if horizon < 0 or horizon > c.depth - 1:
         raise ValueError("need 0 <= horizon <= depth - 1")
-    x, length = _to_int(c)
-    traj = [(x, length)]
+    traj = [c]
     for _ in range(horizon):
-        x, length = _int_step(x, length)
-        traj.append((x, length))
-    for s, (xs, ls) in enumerate(traj):
-        if xs == (1 << ls) - 1:
+        traj.append(code_step(traj[-1]))
+    for s, w in enumerate(traj):
+        if all(w.bits):
             return Unburied(s)
     for s2 in range(1, horizon + 1):
-        x2, l2 = traj[s2]
+        tail = traj[s2].bits
         for s1 in range(s2):
-            x1, l1 = traj[s1]
-            if (x1 >> (l1 - l2)) == x2:
+            if traj[s1].bits[:len(tail)] == tail:
                 return BuriedPreperiodic(s1, s2 - s1)
     return BuriedWandering()
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from .arith import PoleData, check_condition, check_cycle_index
+from .arith import PoleData, check_cycle_index, transition_matrix
 
 
 class EmptyPoleSet(Exception):
@@ -106,10 +106,17 @@ class LevelPlan:
     point_iii: bool
 
 
-def _picked(pole_data: PoleData, cycle: int):
+def _cycle_product(model, pole_data: PoleData, cycle: int):
+    """(phases J_i, their pole orders, the exact cycle product) of one cycle.
+
+    Raises InvalidPoleDataKey for a bad cycle index, then for bad pole data,
+    then EmptyPoleSet when the cycle has no pole phase.
+    """
+    product = transition_matrix(model, pole_data, cycle).cyclic_product()
     phases = pole_data.picked_phases(cycle)
-    orders = {j: pole_data.order(cycle, j) for j in phases}
-    return phases, orders
+    if not phases:
+        raise EmptyPoleSet(f"cycle {cycle} has no pole phases")
+    return phases, {j: pole_data.order(cycle, j) for j in phases}, product
 
 
 def _m_from_product(product, phase_count: int) -> float:
@@ -119,13 +126,8 @@ def _m_from_product(product, phase_count: int) -> float:
 
 def compute_M(model, pole_data: PoleData, cycle: int) -> float:
     """M = (cycle product)**(-1/(2|J_i|)) for the pole phases J_i of cycle."""
-    check_cycle_index(model, cycle)
-    pole_data.validate(model)
-    phases, _ = _picked(pole_data, cycle)
-    if not phases:
-        raise EmptyPoleSet(f"cycle {cycle} has no pole phases")
-    cond = check_condition(model, pole_data).per_cycle[cycle - 1]
-    return _m_from_product(cond.product, len(phases))
+    phases, _, product = _cycle_product(model, pole_data, cycle)
+    return _m_from_product(product, len(phases))
 
 
 def compute_alpha_beta(
@@ -148,17 +150,13 @@ def compute_alpha_beta(
     check_cycle_index(model, cycle)
     if not 0 < seed < math.inf:
         raise ValueError(f"seed {seed} must be positive and finite")
-    pole_data.validate(model)
-    phases, orders = _picked(pole_data, cycle)
-    if not phases:
-        raise EmptyPoleSet(f"cycle {cycle} has no pole phases")
+    phases, orders, product = _cycle_product(model, pole_data, cycle)
     cyc = model.cycles[cycle - 1]
     p = cyc.period
     n = cyc.degrees
-    cond = check_condition(model, pole_data).per_cycle[cycle - 1]
-    if require_condition and not cond.holds:
-        raise ConditionFails(f"cycle {cycle} product {cond.product} is not < 1")
-    M = _m_from_product(cond.product, len(phases))
+    if require_condition and not product < 1:
+        raise ConditionFails(f"cycle {cycle} product {product} is not < 1")
+    M = _m_from_product(product, len(phases))
 
     in_j = set(phases)
     t_gaps = {}

@@ -12,6 +12,7 @@ import mcmlike
 import mcmlike.verify
 from mcmlike.cli import main
 from mcmlike.dynamics import NonConvergence
+from mcmlike.model import ModelWarning
 
 from conftest import FIXTURES
 
@@ -115,6 +116,18 @@ def test_classify_failures(run):
     assert code == 2 and err.startswith("error:")
     code, _, err = run("classify", fx("z3_d3"), "--poly", "0,0,1")
     assert code == 2
+
+
+def test_classify_strictly_preperiodic_critical_point(run):
+    # 1.73205i reaches the fixed point 0 after two steps.  rh check counts
+    # only the critical points on cycle points, so it reads FAIL, while P is
+    # postcritically finite and classify exits 0.
+    with pytest.warns(ModelWarning, match="strictly preperiodic"):
+        code, out, _ = run("classify", "--poly=0,0,-2.598076211353316j,1")
+    assert code == 0
+    lines = out.splitlines()
+    assert "critical 0+1.73205i mult 1 -> cycle 1 phase 0 preperiod 2" in lines
+    assert "rh check: FAIL" in lines
 
 
 def test_root_finder_failure_is_operational_error(run, tmp_path):
@@ -285,6 +298,26 @@ def test_verify_small_escape_radius_is_operational_error(run, tmp_path, monkeypa
     code, out, err = run("verify", str(path), *(["--lambda", lam] if lam else []))
     assert code == 2 and out == ""
     assert "error: escape_radius 1.5 below auto radius" in err
+
+
+def test_verify_unavailable_census_fails_both_checks(run, monkeypatch):
+    def no_roots(fmap, *args, **kwargs):
+        raise NonConvergence("root residual too large")
+
+    monkeypatch.setattr(mcmlike.verify, "free_critical_points", no_roots)
+    code, out, _ = run("verify", fx("q_family"))
+    assert code == 1
+    assert out.splitlines() == [
+        "degree: OK",
+        "census: FAIL (unavailable)",
+        "orbits: FAIL (unavailable)",
+        "untouched cycles: OK",
+        "condition cycle 1: 3/4",
+        "condition: holds",
+        "detail: census: NonConvergence: root residual too large",
+        "detail: orbits: NonConvergence: root residual too large",
+        "verdict: FAIL",
+    ]
 
 
 def test_verify_needs_family(run):
