@@ -3,9 +3,9 @@
 
 Copies src/, tests/ and fixtures/ into a temporary directory, checks that
 the unchanged copy passes tests/test_dynamics.py, tests/test_render.py,
-tests/test_model.py and tests/test_skew.py, then applies one mutant at a
-time to the copy and runs those four files again.  A mutant is caught when
-the tests fail.
+tests/test_model.py, tests/test_skew.py and tests/test_verify.py, then
+applies each of the seven mutants in turn to the copy and runs those five
+files again.  A mutant is caught when the tests fail.
 
 Exit status 0 when every mutant is caught; 1 when one survives, its anchor
 text is not found exactly once, or the unchanged copy does not pass.
@@ -23,6 +23,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TESTS = [
     "tests/test_dynamics.py", "tests/test_render.py", "tests/test_model.py", "tests/test_skew.py",
+    "tests/test_verify.py",
 ]
 
 # (name, file, anchor, replacement)
@@ -62,6 +63,12 @@ MUTANTS = [
         "src/mcmlike/skew.py",
         "traj[s1].bits[:len(tail)] == tail",
         "traj[s1].bits[-len(tail):] == tail",
+    ),
+    (
+        "every pole joins its nearest cycle point's domain, however far",
+        "src/mcmlike/verify.py",
+        "if best is not None and best[0] <= POLE_MATCH_TOL * (1.0 + abs(a)):",
+        "if best is not None:",
     ),
 ]
 

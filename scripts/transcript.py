@@ -33,7 +33,10 @@ then classify --poly of z^3 - 3z + 3 (its critical point -1 escapes), of
 z^2 - 0.5 (a period-2 revisit reduced to an attracting fixed point) and of
 a cubic with a strictly preperiodic critical point; last, check, eig and
 plan of z^3 - 3z + 3 with a pole of order 3 on its fixed point, and verify
-of a family on it (the escaping critical point makes each of them exit 2).
+of a family on it (the escaping critical point makes each of them exit 2);
+last, verify of a copy of q_family whose params add "cycleTol": 1e-9 and
+render at 16x16 of one that adds "captureTol": 1e-6 (params accepts
+maxIter and poleBall only, so both exit 2 and write nothing).
 ``--only <subcommand>`` keeps that subcommand's rows alone.  Runs
 happen in process, in a scratch directory holding a copy of the fixtures,
 so paths in the output do not depend on the checkout.  Standard library
@@ -62,6 +65,8 @@ ESCAPING_FAMILY = dict(
     family={"kind": "simple_poles", "poles": [{"location": [1, 0], "order": 3, "lambda": [1e-6, 0]}]},
     params={"maxIter": 2000},
 )
+# Copies of q_family with one more params key each: (file, key, value).
+PARAM_COPIES = (("q_cycle_tol.json", "cycleTol", 1e-9), ("q_capture_tol.json", "captureTol", 1e-6))
 
 
 def fixture_lambda(path):
@@ -138,6 +143,8 @@ def rows(fixtures):
     for cmd in ("check", "eig", "plan"):
         yield [cmd, "escaping.json"]
     yield ["verify", "escaping_family.json"]
+    yield ["verify", PARAM_COPIES[0][0]]
+    yield ["render", PARAM_COPIES[1][0], "--out", OUTPUTS[0], "--width", "16", "--height", "16"]
 
 
 def sha(data):
@@ -176,6 +183,12 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as work:
         shutil.copytree(os.path.join(root, "fixtures"), os.path.join(work, "fixtures"))
         for name, data in (("escaping.json", ESCAPING), ("escaping_family.json", ESCAPING_FAMILY)):
+            with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
+                json.dump(data, fh)
+        for name, key, value in PARAM_COPIES:
+            with open(os.path.join(work, "fixtures", "q_family.json"), encoding="utf-8") as fh:
+                data = json.load(fh)
+            data["params"][key] = value
             with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
                 json.dump(data, fh)
         here = os.getcwd()

@@ -300,7 +300,7 @@ def _render_attractors(mf: ModelFile, fmap: MapLike) -> Tuple[Optional[list], Op
         mf.pole_data.validate(model)
     if mf.family is None:
         return [(c.points, c.period) for c in model.cycles], None
-    checks = untouched_cycle_checks(fmap, model, mf.pole_data, mf.verify_params().newton_tol)
+    checks = untouched_cycle_checks(fmap, model, mf.pole_data)
     return [(orbit_points(fmap, c.found, c.period), c.period) for c in checks if c.persisted], None
 
 
@@ -319,7 +319,6 @@ def cmd_render(args) -> int:
         max_iter=args.max_iter,
         escape_radius=args.escape_radius,
         attractors=attractors,
-        capture_tol=float(mf.params.get("captureTol", 1e-6)),
     )
     if args.diagnostics:
         check_symmetry_order(args.symmetry_order)

@@ -664,6 +664,8 @@ class OrbitRecord:
 
 # Cycle revisitation is only checked after this many iterates.
 CYCLE_TRANSIENT = 20
+# An iterate this close to an earlier one revisits it (iterate_orbit's default).
+CYCLE_TOL = 1e-9
 # Largest revisitation period looked for.
 PERIOD_WINDOW = 256
 
@@ -673,7 +675,7 @@ def iterate_orbit(
     z0: complex,
     max_iter: int = 512,
     escape_radius: Optional[float] = None,
-    cycle_tol: float = 1e-9,
+    cycle_tol: float = CYCLE_TOL,
 ) -> OrbitRecord:
     """Iterate a map and classify the orbit.
 

@@ -21,7 +21,6 @@ from .dynamics import (
     ComplexPoly,
     Escaped,
     Undecided,
-    auto_radius,
     cycle_derivative,
     find_roots,
     iterate_orbit,
@@ -44,10 +43,6 @@ class ModelWarning(UserWarning):
 
 # |multiplier| below this counts as super-attracting.
 SUPERATTRACTING_TOL = 1e-6
-
-# A critical orbit that comes back within this distance of an earlier
-# iterate has converged to a cycle, in classify_polynomial.
-CYCLE_TOL = 1e-9
 
 # An iterate within this relative distance of a cycle point lands on it, in
 # classify_polynomial.
@@ -147,9 +142,10 @@ def classify_polynomial(p: ComplexPoly, max_iter: int = 2000) -> HpcfpModel:
     """Classify a polynomial through its critical orbits.
 
     Every critical point is iterated until it escapes or revisits (within
-    CYCLE_TOL) a previous iterate; bounded cycles are Newton-refined and must
-    be super-attracting.  Degrees n_{i,j} count 1 plus the multiplicities of
-    the critical points sitting on the cycle point itself (preperiod 0).
+    dynamics.CYCLE_TOL) a previous iterate; bounded cycles are
+    Newton-refined and must be super-attracting.  Degrees n_{i,j} count 1
+    plus the multiplicities of the critical points sitting on the cycle
+    point itself (preperiod 0).
 
     Raises NotHpcfp when an orbit stays undecided, MultiplierNotZero when a
     bounded cycle is merely attracting.  Critical points that reach a cycle
@@ -161,7 +157,6 @@ def classify_polynomial(p: ComplexPoly, max_iter: int = 2000) -> HpcfpModel:
     if n < 2:
         raise ValueError("degree must be >= 2")
     crits = find_roots(p.derivative())
-    radius = auto_radius(p)
 
     multipliers: List[float] = []
     pool_points: List[List[complex]] = []
@@ -171,7 +166,7 @@ def classify_polynomial(p: ComplexPoly, max_iter: int = 2000) -> HpcfpModel:
     notes: List[str] = []
 
     for c, mult in crits:
-        orbit = iterate_orbit(p, c, max_iter=max_iter, escape_radius=radius, cycle_tol=CYCLE_TOL)
+        orbit = iterate_orbit(p, c, max_iter=max_iter)
         out = orbit.outcome
         if isinstance(out, Undecided):
             raise NotHpcfp(f"critical orbit from {c} undecided after {max_iter} iterations")

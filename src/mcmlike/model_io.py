@@ -40,18 +40,8 @@ class SchemaError(ValueError):
 
 
 ROOT_KEYS = {"abstract", "polynomial", "pole_data", "family", "params"}
-# params key -> VerifyParams field.  captureTol is a render knob and stays
-# in params.
-VERIFY_PARAM_FIELDS = {
-    "maxIter": "max_iter",
-    "escapeRadius": "escape_radius",
-    "poleBall": "pole_ball",
-    "matchTol": "match_tol",
-    "cycleMatchTol": "cycle_match_tol",
-    "cycleTol": "cycle_tol",
-    "newtonTol": "newton_tol",
-}
-PARAM_KEYS = {*VERIFY_PARAM_FIELDS, "captureTol"}
+# params key -> VerifyParams field; no other key is accepted in params.
+VERIFY_PARAM_FIELDS = {"maxIter": "max_iter", "poleBall": "pole_ball"}
 
 
 @dataclass(frozen=True)
@@ -104,12 +94,7 @@ class VerifyParams:
     """Tolerances of ``verify``; ``ModelFile.verify_params`` reads them from ``params``."""
 
     max_iter: int = 2000
-    escape_radius: Optional[float] = None
-    cycle_tol: float = 1e-9
     pole_ball: float = 0.1
-    match_tol: float = 1e-4  # pole location -> model cycle point
-    cycle_match_tol: float = 1e-2  # converged orbit -> model cycle
-    newton_tol: float = 1e-10
 
 
 @dataclass
@@ -303,7 +288,7 @@ def _parse_params(v) -> Dict[str, object]:
         raise SchemaError("params must be an object", key="params")
     out: Dict[str, object] = {}
     for k, val in v.items():
-        if k not in PARAM_KEYS:
+        if k not in VERIFY_PARAM_FIELDS:
             raise SchemaError("unknown key in params", key=k)
         if k == "maxIter":
             out[k] = _integer(val, "maxIter", 1)

@@ -402,13 +402,21 @@ def _nearest_cycle_point(model: HpcfpModel, z: complex) -> Optional[Tuple[float,
     return best
 
 
-def _match_poles_to_domains(
-    f: MapLike, model: HpcfpModel, match_tol: float
-) -> Tuple[Optional[Tuple[int, int]], ...]:
+# A pole within this relative distance of a model cycle point sits in that
+# point's Fatou domain.
+POLE_MATCH_TOL = 1e-4
+# A converged critical orbit within this relative distance of a model cycle
+# point converges to that cycle.
+CYCLE_MATCH_TOL = 1e-2
+# Step tolerance of the Newton iteration that follows each untouched cycle.
+NEWTON_TOL = 1e-10
+
+
+def _match_poles_to_domains(f: MapLike, model: HpcfpModel) -> Tuple[Optional[Tuple[int, int]], ...]:
     out = []
     for a, _ in pole_orders(f):
         best = _nearest_cycle_point(model, a)
-        if best is not None and best[0] <= match_tol * (1.0 + abs(a)):
+        if best is not None and best[0] <= POLE_MATCH_TOL * (1.0 + abs(a)):
             out.append(best[1:])
         else:
             out.append(None)
@@ -436,7 +444,7 @@ def _orbit_verdict(
     # Converged: match against model cycles.
     rep = out.representative
     best = _nearest_cycle_point(model, rep)
-    if best is not None and best[0] <= params.cycle_match_tol * (1.0 + abs(rep)):
+    if best is not None and best[0] <= CYCLE_MATCH_TOL * (1.0 + abs(rep)):
         cid = best[1]
         if cid in touched:
             return ConvergesToBoundedCycle(cid), False, f"critical {c}: converged to touched cycle {cid}"
@@ -459,32 +467,29 @@ def classify_critical_orbits(
     families).  Bounded orbits must converge near an untouched model cycle.
     """
     params = params or VerifyParams()
-    pole_domains = _match_poles_to_domains(f, model, params.match_tol)
+    pole_domains = _match_poles_to_domains(f, model)
     picked = {key for key, _ in pole_data.entries}
     doors = {k for k, dom in enumerate(pole_domains) if dom in picked}
     touched_cycles = {i for (i, _), _ in pole_data.entries}
-    radius = checked_escape_radius(f, params.escape_radius)
 
     entries = []
     for c, mult in census.free_criticals:
-        rec = iterate_orbit(
-            f, c, max_iter=params.max_iter, escape_radius=radius, cycle_tol=params.cycle_tol
-        )
+        rec = iterate_orbit(f, c, max_iter=params.max_iter)
         verdict = _orbit_verdict(c, rec.outcome, model, doors, touched_cycles, params)
         entries.append(CriticalOrbitEntry(c, mult, rec, *verdict))
     return CriticalOrbitReport(entries=entries, pole_domains=pole_domains)
 
 
 def untouched_cycle_checks(
-    f: MapLike, model: HpcfpModel, pole_data: Optional[PoleData], newton_tol: float
+    f: MapLike, model: HpcfpModel, pole_data: Optional[PoleData]
 ) -> List[UntouchedCycleCheck]:
     """Newton-refine every model cycle that carries no pole data under f.
 
-    Each untouched cycle is followed by ``newton_cycle`` from its phase-0
-    point; it has persisted when Newton converged to a point within
-    0.05 * (1 + |start|) of the start with |multiplier| < 1.  Without pole
-    data every cycle is untouched.  One check per untouched cycle, in
-    model-cycle order.
+    Each untouched cycle is followed by ``newton_cycle`` (step tolerance
+    NEWTON_TOL) from its phase-0 point; it has persisted when Newton
+    converged to a point within 0.05 * (1 + |start|) of the start with
+    |multiplier| < 1.  Without pole data every cycle is untouched.  One
+    check per untouched cycle, in model-cycle order.
     """
     touched = {i for (i, _), _ in pole_data.entries} if pole_data is not None else set()
     checks = []
@@ -492,7 +497,7 @@ def untouched_cycle_checks(
         if cyc.index in touched:
             continue
         start = cyc.points[0]
-        found, converged, mult = newton_cycle(f, start, cyc.period, newton_tol)
+        found, converged, mult = newton_cycle(f, start, cyc.period, NEWTON_TOL)
         mult = abs(mult) if converged else None
         persisted = (
             converged and mult < 1.0 and abs(found - start) <= 0.05 * (1.0 + abs(start))
@@ -513,7 +518,7 @@ def verify_family(
         raise ValueError(
             "expected_model needs concrete cycle points; classify the base polynomial first"
         )
-    checked_escape_radius(f, params.escape_radius)  # also when no orbit gets iterated
+    checked_escape_radius(f, None)  # also when no orbit gets iterated
     details: List[str] = []
 
     condition_report = check_condition(expected_model, expected_pole_data)
@@ -540,9 +545,7 @@ def verify_family(
         )
         details.extend("orbits: " + e.note for e in orbit_report.entries if e.note is not None)
 
-    untouched_checks = untouched_cycle_checks(
-        f, expected_model, expected_pole_data, params.newton_tol
-    )
+    untouched_checks = untouched_cycle_checks(f, expected_model, expected_pole_data)
     details.extend(
         f"untouched cycle {c.cycle}: persistence failed "
         f"(found {c.found}, multiplier {c.multiplier})"

@@ -118,6 +118,23 @@ def test_classify_failures(run):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--poly", "1,x"], "bad coefficient in --poly"),
+        (["--poly", "1,1"], "polynomial degree must be >= 2"),
+        ([], "give --poly or a model file"),
+    ],
+    ids=["bad-coefficient", "degree-1", "no-input"],
+)
+def test_classify_rejects_bad_input(run, tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run("classify", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}")
+    assert not any(tmp_path.iterdir())
+
+
 def test_classify_strictly_preperiodic_critical_point(run):
     # 1.73205i reaches the fixed point 0 after two steps.  rh check counts
     # only the critical points on cycle points, so it reads FAIL, while P is
@@ -279,25 +296,30 @@ def test_verify_lambda_override(run):
     assert code == 0 and "verdict: PASS" in out
 
 
-@pytest.mark.parametrize(
-    "name, lam",
-    [("q_family", None), ("h_multipole", "1.1220184543019636e-24")],  # census found / not found
-)
-def test_verify_small_escape_radius_is_operational_error(run, tmp_path, monkeypatch, name, lam):
-    if lam:
-        # The seeded census finds this one; force the census-unavailable
-        # path so that the radius check is still seen to come first.
-        def unavailable(f):
-            raise NonConvergence("root residual too large")
+def test_verify_untouched_cycle_fails_to_persist(run):
+    # At lambda 1 the fixed point near sqrt(2)i is repelling.
+    code, out, _ = run("verify", fx("r_milnor"), "--lambda", "1")
+    assert code == 1
+    lines = out.splitlines()
+    assert "untouched cycles: FAIL" in lines
+    assert (
+        "detail: untouched cycle 2: persistence failed "
+        "(found 1.5908689707994679j, multiplier 1.3114709350418359)"
+    ) in lines
+    assert lines[-1] == "verdict: FAIL"
 
-        monkeypatch.setattr(mcmlike.verify, "free_critical_points", unavailable)
-    data = json.loads((FIXTURES / f"{name}.json").read_text())
-    data["params"]["escapeRadius"] = 1.5
-    path = tmp_path / f"{name}.json"
+
+@pytest.mark.parametrize(
+    "key", ["escapeRadius", "matchTol", "cycleMatchTol", "cycleTol", "newtonTol", "captureTol"]
+)
+def test_verify_rejects_removed_params_key(run, tmp_path, key):
+    data = json.loads((FIXTURES / "q_family.json").read_text())
+    data["params"][key] = 1e-6
+    path = tmp_path / "q_family.json"
     path.write_text(json.dumps(data))
-    code, out, err = run("verify", str(path), *(["--lambda", lam] if lam else []))
+    code, out, err = run("verify", str(path))
     assert code == 2 and out == ""
-    assert "error: escape_radius 1.5 below auto radius" in err
+    assert f"error: unknown key in params (key: {key})" in err
 
 
 def test_verify_unavailable_census_fails_both_checks(run, monkeypatch):
@@ -437,6 +459,14 @@ def test_render_family_validates_pole_data(run, tmp_path):
     code, _, err = run("render", str(path), "--out", str(out_path), "--width", "8", "--height", "8")
     assert code == 2
     assert "cycle 5 out of range 1..2" in err
+    assert not out_path.exists()
+
+
+def test_render_rejects_abstract_model(run, tmp_path):
+    out_path = tmp_path / "q.ppm"
+    code, out, err = run("render", fx("q_abstract"), "--out", str(out_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: render needs a model file with a polynomial")
     assert not out_path.exists()
 
 

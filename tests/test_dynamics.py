@@ -11,6 +11,7 @@ import pytest
 
 from mcmlike import dynamics
 from mcmlike.dynamics import (
+    CYCLE_TOL,
     CYCLE_TRANSIENT,
     PERIOD_WINDOW,
     ComplexPoly,
@@ -485,8 +486,7 @@ CONCRETE = sorted(p.stem for p in FIXTURES.glob("*.json") if load_model(p).polyn
 
 def assert_same_critical_orbits(name, factors):
     mf = load_model(FIXTURES / f"{name}.json")
-    params = mf.verify_params()
-    kwargs = dict(max_iter=params.max_iter, cycle_tol=params.cycle_tol)
+    kwargs = dict(max_iter=mf.verify_params().max_iter, cycle_tol=CYCLE_TOL)
     maps = [mf.polynomial]
     if mf.family is not None:
         lam = mf.build_map().terms[0][0]

@@ -1,5 +1,6 @@
 """On-disk model format: canonical serialization and total validation."""
 
+import dataclasses
 import importlib.util
 import json
 import sys
@@ -180,6 +181,32 @@ def test_family_validation():
     assert exc.value.key == "lambda"
 
 
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        (json.dumps({"abstract": [3]}), "abstract"),
+        (abstract_doc([1]), "cycles"),
+        (poly_doc(pole_data=[1]), "pole_data"),
+        (poly_doc(family=[1]), "family"),
+        (poly_doc(params=[1]), "params"),
+        (poly_doc(family={"kind": "simple_poles", "poles": [1]}), "poles"),
+        (poly_doc(family={"kind": "simple_poles", "poles": []}), "poles"),
+        (json.dumps({"abstract": {"degree": 2}}), "cycles"),
+        (poly_doc(params={"poleBall": float("inf")}), "poleBall"),
+        (json.dumps({"polynomial": [[0, 0], [float("nan"), 0], [1, 0]]}), "polynomial coefficient"),
+    ],
+    ids=[
+        "abstract", "cycle", "pole-data-entry", "family", "params", "pole",
+        "empty-poles", "missing-cycles", "infinite-pole-ball", "nan-coefficient",
+    ],
+)
+def test_schema_error_names_the_key(doc, key):
+    json.loads(doc)  # valid to the JSON reader
+    with pytest.raises(SchemaError) as exc:
+        loads_model(doc)
+    assert exc.value.key == key
+
+
 def test_params_validation():
     with pytest.raises(SchemaError) as exc:
         loads_model(poly_doc(params={"maxIters": 5}))
@@ -194,32 +221,17 @@ def test_params_validation():
         loads_model(poly_doc(params={"poleBall": "big"}))
 
 
+# Tolerances that are constants of the code, not params keys.
+REMOVED_PARAM_KEYS = ("escapeRadius", "matchTol", "cycleMatchTol", "cycleTol", "newtonTol", "captureTol")
+
+
 def test_verify_params_mapping():
-    mf = loads_model(
-        poly_doc(
-            params={
-                "maxIter": 500,
-                "escapeRadius": 8.0,
-                "poleBall": 0.25,
-                "matchTol": 1e-3,
-                "cycleMatchTol": 2e-2,
-                "cycleTol": 1e-8,
-                "newtonTol": 1e-11,
-                "captureTol": 1e-5,
-            }
-        )
-    )
-    vp = mf.verify_params()
-    assert vp.max_iter == 500
-    assert vp.escape_radius == 8.0
-    assert vp.pole_ball == 0.25
-    assert vp.match_tol == 1e-3
-    assert vp.cycle_match_tol == 2e-2
-    assert vp.cycle_tol == 1e-8
-    assert vp.newton_tol == 1e-11
-    # captureTol is a renderer knob; it stays in params.
-    assert mf.params["captureTol"] == 1e-5
-    assert not hasattr(vp, "capture_tol")
+    vp = loads_model(poly_doc(params={"maxIter": 500, "poleBall": 0.25})).verify_params()
+    assert dataclasses.asdict(vp) == {"max_iter": 500, "pole_ball": 0.25}
+    for key in REMOVED_PARAM_KEYS:
+        with pytest.raises(SchemaError, match="unknown key in params") as exc:
+            loads_model(poly_doc(params={"maxIter": 500, key: 1e-6}))
+        assert exc.value.key == key
 
 
 def test_build_map_variants():

@@ -143,14 +143,27 @@ def test_verify_r_family_untouched_cycle():
 
 def test_untouched_cycle_checks_is_verify_persistence_rule():
     f, model, pd, params = load_family("r_milnor")
-    checks = untouched_cycle_checks(f, model, pd, params.newton_tol)
+    checks = untouched_cycle_checks(f, model, pd)
     assert verify_family(f, model, pd, params).untouched == checks
     assert [c.cycle for c in checks] == [2] and checks[0].persisted
     # Without pole data every cycle is untouched; the pole-carrying cycle
     # at 0 does not persist (0 is a pole of f).
-    bare = untouched_cycle_checks(f, model, None, params.newton_tol)
+    bare = untouched_cycle_checks(f, model, None)
     assert [c.cycle for c in bare] == [1, 2]
     assert not bare[0].persisted and bare[1] == checks[0]
+
+
+def test_pole_off_every_cycle_point_lies_in_no_domain():
+    # q's only cycle is {0, 1}; a second pole at 3.0 sits near no cycle
+    # point, so it is no trap door and orbits escaping past it fail.
+    mf = load_model(FIXTURES / "q_family.json")
+    f = simple_poles_map(mf.polynomial, [(0j, 1, 1e-5), (3.0, 1, 1e-5)])
+    model = classify_polynomial(mf.polynomial)
+    report = verify_family(f, model, mf.pole_data, mf.verify_params()).orbit_report
+    assert report.pole_domains == ((1, 0), None)
+    far = [e for e in report.entries if e.record.outcome.nearest_pole_index == 1]
+    assert len(far) == 3
+    assert all(isinstance(e.classification, InBasinOfInfinityDirectly) for e in far)
 
 
 def test_verify_nd2_not_expected_to_pass():
