@@ -3,9 +3,9 @@
 
 Copies src/, tests/ and fixtures/ into a temporary directory, checks that
 the unchanged copy passes tests/test_dynamics.py, tests/test_render.py,
-tests/test_model.py, tests/test_skew.py and tests/test_verify.py, then
-applies each of the seven mutants in turn to the copy and runs those five
-files again.  A mutant is caught when the tests fail.
+tests/test_model.py, tests/test_skew.py, tests/test_verify.py and
+tests/test_record.py, then applies each of the eight mutants in turn to the
+copy and runs those six files again.  A mutant is caught when the tests fail.
 
 Exit status 0 when every mutant is caught; 1 when one survives, its anchor
 text is not found exactly once, or the unchanged copy does not pass.
@@ -23,7 +23,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TESTS = [
     "tests/test_dynamics.py", "tests/test_render.py", "tests/test_model.py", "tests/test_skew.py",
-    "tests/test_verify.py",
+    "tests/test_verify.py", "tests/test_record.py",
 ]
 
 # (name, file, anchor, replacement)
@@ -69,6 +69,12 @@ MUTANTS = [
         "src/mcmlike/verify.py",
         "if best is not None and best[0] <= POLE_MATCH_TOL * (1.0 + abs(a)):",
         "if best is not None:",
+    ),
+    (
+        "record equality that ignores the class",
+        "src/mcmlike/record.py",
+        "if other.__class__ is self.__class__ else NotImplemented",
+        "if isinstance(other, Record) else NotImplemented",
     ),
 ]
 

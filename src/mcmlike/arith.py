@@ -9,24 +9,27 @@ periodic domains, keyed by (cycle index, phase).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Tuple
+
+from .record import FrozenRecord
 
 
 class InvalidPoleDataKey(Exception):
     """Pole data referenced a cycle/phase that does not exist, or d < 1."""
 
 
-@dataclass(frozen=True)
-class PoleData:
+class PoleData(FrozenRecord):
     """Orders d attached to picked domains, keyed by (cycle, phase).
 
     Cycle indices are 1-based (matching reports and model files), phases are
     0-based residues mod the cycle period.
     """
 
-    entries: Tuple[Tuple[Tuple[int, int], int], ...]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: Tuple[Tuple[Tuple[int, int], int], ...]):
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_dict(cls, entries: Mapping[Tuple[int, int], int]) -> "PoleData":
@@ -60,18 +63,22 @@ class PoleData:
             seen.add((i, j))
 
 
-@dataclass(frozen=True)
-class CycleCondition:
-    cycle: int
-    product: Fraction
-    holds: bool
-    picked_phases: Tuple[int, ...]
+class CycleCondition(FrozenRecord):
+    __slots__ = ("cycle", "product", "holds", "picked_phases")
+
+    def __init__(self, cycle: int, product: Fraction, holds: bool, picked_phases: Tuple[int, ...]):
+        object.__setattr__(self, "cycle", cycle)
+        object.__setattr__(self, "product", product)
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "picked_phases", picked_phases)
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    per_cycle: Tuple[CycleCondition, ...]
-    overall: bool
+class ConditionReport(FrozenRecord):
+    __slots__ = ("per_cycle", "overall")
+
+    def __init__(self, per_cycle: Tuple[CycleCondition, ...], overall: bool):
+        object.__setattr__(self, "per_cycle", per_cycle)
+        object.__setattr__(self, "overall", overall)
 
 
 def check_condition(model, pole_data: PoleData) -> ConditionReport:
@@ -90,17 +97,19 @@ def check_condition(model, pole_data: PoleData) -> ConditionReport:
     return ConditionReport(tuple(rows), all(r.holds for r in rows))
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
+class TransitionMatrix(FrozenRecord):
     """Cyclic transition matrix of a cycle, entries stored exactly.
 
     The only nonzero entries sit on the cyclic superdiagonal: entry
     [s][(s+1) mod p] is 1/n_s, plus 1/d_s when phase s is picked.
     """
 
-    cycle: int
-    size: int
-    entries: Tuple[Tuple[Fraction, ...], ...]
+    __slots__ = ("cycle", "size", "entries")
+
+    def __init__(self, cycle: int, size: int, entries: Tuple[Tuple[Fraction, ...], ...]):
+        object.__setattr__(self, "cycle", cycle)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "entries", entries)
 
     def cyclic_product(self) -> Fraction:
         prod = Fraction(1)

@@ -374,7 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("--cycle", type=int, default=1)
     p.add_argument("--r", type=float, default=None, help="base level in (0,1); default r*/2")
-    p.add_argument("--groetzsch-c", type=float, default=1.0, dest="groetzsch_c")
+    p.add_argument("--groetzsch-c", type=float, default=1.0, dest="groetzsch_c",
+                   help="free constant C of the cross-domain modulus bound (not derived); r* depends on it")
     p.add_argument("--seed", type=float, default=1.0, help="alpha seed at the first pole phase")
     p.set_defaults(func=cmd_plan)
 

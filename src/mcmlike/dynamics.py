@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
+
+from .record import FrozenRecord, Record
 
 EPS = 2.220446049250313e-16
 
@@ -55,32 +56,30 @@ def _trim(coeffs: Sequence[complex]) -> Tuple[complex, ...]:
     return tuple(cs) if cs else (0j,)
 
 
-class _Map:
+class _Map(FrozenRecord):
     """Base of the map types.  A map is an immutable value: assigning to a
     field raises.  What it derives on first use (``_evaluator``, a closure,
-    and a polynomial's ``_derivative``) is kept on it for good; a pickled map
-    leaves those out and derives them again."""
+    and a polynomial's ``_derivative``) is kept in its ``__dict__`` for good;
+    a pickled map is rebuilt from its fields alone and derives them again."""
 
-    def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
+    __slots__ = ("__dict__",)
 
 
-@dataclass(frozen=True)
 class ComplexPoly(_Map):
     """Polynomial with ascending complex coefficients: coeffs[k] * z**k.
 
     As a map it is its own base with no pole terms.
     """
 
-    coeffs: Tuple[complex, ...]
+    __slots__ = ("coeffs",)
     terms = ()
+
+    def __init__(self, coeffs: Sequence[complex]):
+        object.__setattr__(self, "coeffs", _trim(coeffs))
 
     @property
     def base(self) -> "ComplexPoly":
         return self
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _trim(self.coeffs))
 
     @property
     def degree(self) -> int:
@@ -157,7 +156,6 @@ class ComplexPoly(_Map):
 PoleFactor = Tuple[complex, int]  # (location, order)
 
 
-@dataclass(frozen=True)
 class RationalMapExpr(_Map):
     """f = base + sum over terms (c, factors) of c / prod (z - a)^d.
 
@@ -166,8 +164,11 @@ class RationalMapExpr(_Map):
     puts every pole in one term.
     """
 
-    base: ComplexPoly
-    terms: Tuple[Tuple[complex, Tuple[PoleFactor, ...]], ...]
+    __slots__ = ("base", "terms")
+
+    def __init__(self, base: ComplexPoly, terms: Tuple[Tuple[complex, Tuple[PoleFactor, ...]], ...]):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "terms", terms)
 
 
 MapLike = Union[ComplexPoly, RationalMapExpr]
@@ -622,8 +623,7 @@ def _cluster_roots(roots, p: ComplexPoly):
 # Orbits
 
 
-@dataclass
-class Escaped:
+class Escaped(Record):
     """Orbit left the escape radius.
 
     ``last_bounded`` is the final iterate inside the radius; the
@@ -634,32 +634,33 @@ class Escaped:
     distance.
     """
 
-    escape_index: int
-    last_bounded: complex
-    passage_point: complex
-    nearest_pole_index: Optional[int]
-    pole_distance: float
+    __slots__ = ("escape_index", "last_bounded", "passage_point", "nearest_pole_index", "pole_distance")
+
+    def __init__(self, escape_index: int, last_bounded: complex, passage_point: complex,
+                 nearest_pole_index: Optional[int], pole_distance: float):
+        self.escape_index, self.last_bounded, self.passage_point = escape_index, last_bounded, passage_point
+        self.nearest_pole_index, self.pole_distance = nearest_pole_index, pole_distance
 
 
-@dataclass
-class ConvergedToCycle:
-    period: int
-    representative: complex
-    convergence_index: int
+class ConvergedToCycle(Record):
+    __slots__ = ("period", "representative", "convergence_index")
+
+    def __init__(self, period: int, representative: complex, convergence_index: int):
+        self.period, self.representative, self.convergence_index = period, representative, convergence_index
 
 
-@dataclass
-class Undecided:
-    pass
+class Undecided(Record):
+    __slots__ = ()
 
 
-@dataclass
-class OrbitRecord:
+class OrbitRecord(Record):
     """The iterates an orbit computed (``samples[0]`` is its start) and what
     became of it."""
 
-    samples: list
-    outcome: object
+    __slots__ = ("samples", "outcome")
+
+    def __init__(self, samples: list, outcome: object):
+        self.samples, self.outcome = samples, outcome
 
 
 # Cycle revisitation is only checked after this many iterates.

@@ -13,7 +13,6 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .arith import PoleData
@@ -27,6 +26,7 @@ from .dynamics import (
     newton_cycle,
     orbit_points,
 )
+from .record import FrozenRecord, Record
 
 
 class NotHpcfp(Exception):
@@ -52,32 +52,32 @@ MATCH_TOL = 1e-6
 TYPE_COEFF_TOL = 1e-8
 
 
-@dataclass
-class CycleSpec:
+class CycleSpec(Record):
     """One super-attracting cycle; points are ordered along the orbit."""
 
-    index: int  # 1-based
-    period: int
-    degrees: Tuple[int, ...]
-    points: Optional[Tuple[complex, ...]] = None
-    multiplier: float = 0.0
+    __slots__ = ("index", "period", "degrees", "points", "multiplier")
+
+    def __init__(self, index: int, period: int, degrees: Tuple[int, ...],
+                 points: Optional[Tuple[complex, ...]] = None, multiplier: float = 0.0):
+        self.index, self.period, self.degrees = index, period, degrees  # index is 1-based
+        self.points, self.multiplier = points, multiplier
 
 
-@dataclass
-class CriticalAssignment:
-    point: complex
-    multiplicity: int
-    cycle: Optional[int]  # None when the orbit escapes
-    phase: Optional[int]
-    preperiod: Optional[int]
+class CriticalAssignment(Record):
+    __slots__ = ("point", "multiplicity", "cycle", "phase", "preperiod")
+
+    def __init__(self, point: complex, multiplicity: int, cycle: Optional[int], phase: Optional[int],
+                 preperiod: Optional[int]):
+        self.point, self.multiplicity = point, multiplicity
+        self.cycle, self.phase, self.preperiod = cycle, phase, preperiod  # all None when the orbit escapes
 
 
-@dataclass
-class HpcfpModel:
-    degree: int
-    cycles: Tuple[CycleSpec, ...]
-    criticals: Tuple[CriticalAssignment, ...] = ()
-    notes: Tuple[str, ...] = ()
+class HpcfpModel(Record):
+    __slots__ = ("degree", "cycles", "criticals", "notes")
+
+    def __init__(self, degree: int, cycles: Tuple[CycleSpec, ...],
+                 criticals: Tuple[CriticalAssignment, ...] = (), notes: Tuple[str, ...] = ()):
+        self.degree, self.cycles, self.criticals, self.notes = degree, cycles, criticals, notes
 
     @property
     def is_hpcfp(self) -> bool:
@@ -250,13 +250,16 @@ def riemann_hurwitz_check(model: HpcfpModel) -> bool:
 # Normal forms
 
 
-@dataclass(frozen=True)
-class NormalizedType:
+class NormalizedType(FrozenRecord):
     """Canonical representative of a polynomial-plus-pole-data type."""
 
-    coeffs: Tuple[complex, ...]
-    cycles: Tuple[Tuple[int, Tuple[int, ...]], ...]  # (period, degrees)
-    pole_entries: Tuple[Tuple[int, int, int], ...]  # (cycle, phase, d)
+    __slots__ = ("coeffs", "cycles", "pole_entries")
+
+    def __init__(self, coeffs: Tuple[complex, ...], cycles: Tuple[Tuple[int, Tuple[int, ...]], ...],
+                 pole_entries: Tuple[Tuple[int, int, int], ...]):
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "cycles", cycles)  # (period, degrees)
+        object.__setattr__(self, "pole_entries", pole_entries)  # (cycle, phase, d)
 
 
 def _fuzzy_cmp(u: Sequence[float], v: Sequence[float], tol: float = 1e-9) -> int:

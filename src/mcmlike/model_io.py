@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .arith import PoleData, InvalidPoleDataKey
 from .dynamics import ComplexPoly, MapLike, RationalMapExpr
 from .model import HpcfpModel, from_abstract
+from .record import FrozenRecord, Record
 
 
 class ParseError(ValueError):
@@ -44,8 +44,7 @@ ROOT_KEYS = {"abstract", "polynomial", "pole_data", "family", "params"}
 VERIFY_PARAM_FIELDS = {"maxIter": "max_iter", "poleBall": "pole_ball"}
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(FrozenRecord):
     """Rational perturbation attached to a polynomial base map.
 
     ``terms`` are those of ``RationalMapExpr``: one single-factor term per
@@ -53,8 +52,11 @@ class FamilySpec:
     ``product_pole``.  ``kind`` only selects the on-disk layout.
     """
 
-    kind: str  # "simple_poles" | "product_pole"
-    terms: Tuple[Tuple[complex, Tuple[Tuple[complex, int], ...]], ...]
+    __slots__ = ("kind", "terms")
+
+    def __init__(self, kind: str, terms: Tuple[Tuple[complex, Tuple[Tuple[complex, int], ...]], ...]):
+        object.__setattr__(self, "kind", kind)  # "simple_poles" | "product_pole"
+        object.__setattr__(self, "terms", terms)
 
     def build(self, base: ComplexPoly, lambda_override: Optional[complex] = None) -> RationalMapExpr:
         """The map; lambda_override sets the first term's coefficient and scales
@@ -89,21 +91,23 @@ class FamilySpec:
         }
 
 
-@dataclass
-class VerifyParams:
+class VerifyParams(Record):
     """Tolerances of ``verify``; ``ModelFile.verify_params`` reads them from ``params``."""
 
-    max_iter: int = 2000
-    pole_ball: float = 0.1
+    __slots__ = ("max_iter", "pole_ball")
+
+    def __init__(self, max_iter: int = 2000, pole_ball: float = 0.1):
+        self.max_iter, self.pole_ball = max_iter, pole_ball
 
 
-@dataclass
-class ModelFile:
-    polynomial: Optional[ComplexPoly] = None
-    abstract: Optional[HpcfpModel] = None
-    pole_data: Optional[PoleData] = None
-    family: Optional[FamilySpec] = None
-    params: Dict[str, object] = field(default_factory=dict)
+class ModelFile(Record):
+    __slots__ = ("polynomial", "abstract", "pole_data", "family", "params")
+
+    def __init__(self, polynomial: Optional[ComplexPoly] = None, abstract: Optional[HpcfpModel] = None,
+                 pole_data: Optional[PoleData] = None, family: Optional[FamilySpec] = None,
+                 params: Optional[Dict[str, object]] = None):
+        self.polynomial, self.abstract, self.pole_data, self.family = polynomial, abstract, pole_data, family
+        self.params = {} if params is None else params
 
     def verify_params(self) -> VerifyParams:
         return VerifyParams(

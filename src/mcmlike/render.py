@@ -34,7 +34,6 @@ module (and the CLI, which imports it) does not load numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from .dynamics import (
@@ -44,6 +43,7 @@ from .dynamics import (
     fixed_by_reflection,
     reflections,
 )
+from .record import Record
 
 KIND_UNDECIDED = 0
 KIND_ESCAPED = 1
@@ -73,19 +73,17 @@ PALETTE8 = (
 )
 
 
-@dataclass
-class RenderSpec:
-    map: MapLike
-    width: int
-    height: int
-    center: complex = 0j
-    half_width: float = 1.5
-    max_iter: int = 512
-    escape_radius: Optional[float] = None
-    attractors: Optional[Sequence[Tuple[Sequence[complex], int]]] = None
-    capture_tol: float = 1e-6
+class RenderSpec(Record):
+    __slots__ = ("map", "width", "height", "center", "half_width", "max_iter", "escape_radius", "attractors",
+                 "capture_tol")
 
-    def __post_init__(self):
+    def __init__(self, map: MapLike, width: int, height: int, center: complex = 0j, half_width: float = 1.5,
+                 max_iter: int = 512, escape_radius: Optional[float] = None,
+                 attractors: Optional[Sequence[Tuple[Sequence[complex], int]]] = None,
+                 capture_tol: float = 1e-6):
+        self.map, self.width, self.height, self.center = map, width, height, center
+        self.half_width, self.max_iter, self.escape_radius = half_width, max_iter, escape_radius
+        self.attractors, self.capture_tol = attractors, capture_tol
         if self.width < 1 or self.height < 1:
             raise ValueError("width and height must be >= 1")
         if not 0 < self.half_width < math.inf:
@@ -103,15 +101,16 @@ class RenderSpec:
         return 2.0 * self.half_width / self.width
 
 
-@dataclass
-class ClassGrid:
-    width: int
-    height: int
-    kind: np.ndarray  # (h, w) uint8
-    iters: np.ndarray  # (h, w) int32, escape index where kind == ESCAPED
-    basin_id: np.ndarray  # (h, w) int16, -1 elsewhere
-    basin_phase: np.ndarray  # (h, w) int16, -1 elsewhere
-    spec: Optional[RenderSpec] = None  # the spec classify_grid sampled
+class ClassGrid(Record):
+    """(h, w) labels: kind (uint8); iters (int32), the escape index where kind == ESCAPED;
+    basin_id and basin_phase (int16), -1 elsewhere.  spec is the spec classify_grid sampled."""
+
+    __slots__ = ("width", "height", "kind", "iters", "basin_id", "basin_phase", "spec")
+
+    def __init__(self, width: int, height: int, kind: np.ndarray, iters: np.ndarray, basin_id: np.ndarray,
+                 basin_phase: np.ndarray, spec: Optional[RenderSpec] = None):
+        self.width, self.height, self.kind, self.iters = width, height, kind, iters
+        self.basin_id, self.basin_phase, self.spec = basin_id, basin_phase, spec
 
     def tag(self, ix: int, iy: int) -> str:
         k = self.kind[iy, ix]
@@ -122,12 +121,11 @@ class ClassGrid:
         return "U"
 
 
-@dataclass
-class RadialProfile:
-    radii: np.ndarray
-    kind: np.ndarray
-    iters: np.ndarray
-    alternations: int
+class RadialProfile(Record):
+    __slots__ = ("radii", "kind", "iters", "alternations")
+
+    def __init__(self, radii: np.ndarray, kind: np.ndarray, iters: np.ndarray, alternations: int):
+        self.radii, self.kind, self.iters, self.alternations = radii, kind, iters, alternations
 
 
 def _orbit(f: MapLike, z: np.ndarray, steps: int) -> np.ndarray:

@@ -21,21 +21,22 @@ hold the two to each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Tuple
+
+from .record import FrozenRecord, Record
 
 
 class DepthExhausted(Exception):
     """A step was requested on a depth-1 code."""
 
 
-@dataclass(frozen=True)
-class CodeWord:
-    bits: Tuple[int, ...]
+class CodeWord(FrozenRecord):
+    __slots__ = ("bits",)
 
-    def __post_init__(self):
-        if len(self.bits) < 1 or any(b not in (0, 1) for b in self.bits):
+    def __init__(self, bits: Tuple[int, ...]):
+        if len(bits) < 1 or any(b not in (0, 1) for b in bits):
             raise ValueError("bits must be a nonempty 0/1 sequence")
+        object.__setattr__(self, "bits", bits)
 
     @property
     def depth(self) -> int:
@@ -49,29 +50,33 @@ class CodeWord:
         return "".join(str(b) for b in self.bits)
 
 
-@dataclass
-class SkewState:
-    code: CodeWord
-    angle: float
+class SkewState(Record):
+    __slots__ = ("code", "angle")
 
-    def __post_init__(self):
-        self.angle = self.angle % 1.0
-
-
-@dataclass(frozen=True)
-class Unburied:
-    hit_time: int
+    def __init__(self, code: CodeWord, angle: float):
+        self.code = code
+        self.angle = angle % 1.0
 
 
-@dataclass(frozen=True)
-class BuriedPreperiodic:
-    preperiod: int
-    period: int
+class Unburied(FrozenRecord):
+    __slots__ = ("hit_time",)
+
+    def __init__(self, hit_time: int):
+        object.__setattr__(self, "hit_time", hit_time)
 
 
-@dataclass(frozen=True)
-class BuriedWandering:
+class BuriedPreperiodic(FrozenRecord):
+    __slots__ = ("preperiod", "period")
+
+    def __init__(self, preperiod: int, period: int):
+        object.__setattr__(self, "preperiod", preperiod)
+        object.__setattr__(self, "period", period)
+
+
+class BuriedWandering(FrozenRecord):
     """Not unburied and no cylinder repeat within the horizon."""
+
+    __slots__ = ()
 
 
 def code_step(c: CodeWord) -> CodeWord:
@@ -119,11 +124,11 @@ def classify_code(c: CodeWord, horizon: int) -> object:
     return BuriedWandering()
 
 
-@dataclass
-class SkewCensus:
-    unburied: int
-    buried_preperiodic: int
-    undetermined: int
+class SkewCensus(Record):
+    __slots__ = ("unburied", "buried_preperiodic", "undetermined")
+
+    def __init__(self, unburied: int, buried_preperiodic: int, undetermined: int):
+        self.unburied, self.buried_preperiodic, self.undetermined = unburied, buried_preperiodic, undetermined
 
     @property
     def total(self) -> int:

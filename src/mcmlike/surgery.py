@@ -12,10 +12,10 @@ is level arithmetic on exponents; no planar sets are constructed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from .arith import PoleData, check_cycle_index, transition_matrix
+from .record import Record
 
 
 class EmptyPoleSet(Exception):
@@ -45,8 +45,7 @@ class NoSlack(Exception):
 CLOSURE_RTOL = 1e-12
 
 
-@dataclass
-class SurgeryConstants:
+class SurgeryConstants(Record):
     """Constants of one cycle's annulus construction.
 
     phases lists J_i in increasing order; t_gaps[j] is the first-return step
@@ -54,14 +53,13 @@ class SurgeryConstants:
     pole_orders holds d_{i,j} for j in J_i.
     """
 
-    cycle: int
-    phases: Tuple[int, ...]
-    t_gaps: Dict[int, int]
-    M: float
-    alpha: Dict[int, float]
-    beta: Dict[int, float]
-    degrees: Tuple[int, ...]
-    pole_orders: Dict[int, int]
+    __slots__ = ("cycle", "phases", "t_gaps", "M", "alpha", "beta", "degrees", "pole_orders")
+
+    def __init__(self, cycle: int, phases: Tuple[int, ...], t_gaps: Dict[int, int], M: float,
+                 alpha: Dict[int, float], beta: Dict[int, float], degrees: Tuple[int, ...],
+                 pole_orders: Dict[int, int]):
+        self.cycle, self.phases, self.t_gaps, self.M = cycle, phases, t_gaps, M
+        self.alpha, self.beta, self.degrees, self.pole_orders = alpha, beta, degrees, pole_orders
 
     @property
     def period(self) -> int:
@@ -88,8 +86,7 @@ class SurgeryConstants:
         return self.chain_rhs(j) - self.chain_lhs(j)
 
 
-@dataclass
-class LevelPlan:
+class LevelPlan(Record):
     """Equipotential levels for one cycle at base level r.
 
     levels[j] = (Lout, Lin, Linf) = (r**alpha_j, r**beta_j, r**delta_j).
@@ -98,12 +95,12 @@ class LevelPlan:
     non-recurrence level inequality.
     """
 
-    levels: Dict[int, Tuple[float, float, float]]
-    delta: Dict[int, float]
-    r_threshold: float
-    point_i: bool
-    point_ii: bool
-    point_iii: bool
+    __slots__ = ("levels", "delta", "r_threshold", "point_i", "point_ii", "point_iii")
+
+    def __init__(self, levels: Dict[int, Tuple[float, float, float]], delta: Dict[int, float],
+                 r_threshold: float, point_i: bool, point_ii: bool, point_iii: bool):
+        self.levels, self.delta, self.r_threshold = levels, delta, r_threshold
+        self.point_i, self.point_ii, self.point_iii = point_i, point_ii, point_iii
 
 
 def _cycle_product(model, pole_data: PoleData, cycle: int):

@@ -13,7 +13,6 @@ exists, only falsify it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Optional, Set, Tuple
 
 from .arith import ConditionReport, PoleData, check_condition
@@ -35,14 +34,14 @@ from .dynamics import (
 )
 from .model import HpcfpModel
 from .model_io import VerifyParams
+from .record import Record
 
 
 class CensusMismatch(Exception):
     """The critical count with multiplicity missed 2*deg - 2."""
 
 
-@dataclass
-class CriticalCensus:
+class CriticalCensus(Record):
     """Critical points of the rational map, counted with multiplicity.
 
     free_criticals are the finite zeros of the derivative numerator;
@@ -50,10 +49,12 @@ class CriticalCensus:
     d_k - 1); infinity contributes n - 1 for a degree-n base polynomial.
     """
 
-    free_criticals: List[Tuple[complex, int]]
-    pole_criticals: List[Tuple[complex, int]]
-    infinity_multiplicity: int
-    map_degree: int
+    __slots__ = ("free_criticals", "pole_criticals", "infinity_multiplicity", "map_degree")
+
+    def __init__(self, free_criticals: List[Tuple[complex, int]], pole_criticals: List[Tuple[complex, int]],
+                 infinity_multiplicity: int, map_degree: int):
+        self.free_criticals, self.pole_criticals = free_criticals, pole_criticals
+        self.infinity_multiplicity, self.map_degree = infinity_multiplicity, map_degree
 
     @property
     def nu(self) -> int:
@@ -64,67 +65,71 @@ class CriticalCensus:
         )
 
 
-@dataclass
-class InBasinOfInfinityDirectly:
+class InBasinOfInfinityDirectly(Record):
     """Escaped without passing near any pole carrying pole data."""
 
-
-@dataclass
-class EscapesViaTrapDoor:
-    pole_index: int
-    passage_distance: float
+    __slots__ = ()
 
 
-@dataclass
-class ConvergesToBoundedCycle:
-    cycle: int
+class EscapesViaTrapDoor(Record):
+    __slots__ = ("pole_index", "passage_distance")
+
+    def __init__(self, pole_index: int, passage_distance: float):
+        self.pole_index, self.passage_distance = pole_index, passage_distance
 
 
-@dataclass
-class CriticalOrbitEntry:
+class ConvergesToBoundedCycle(Record):
+    __slots__ = ("cycle",)
+
+    def __init__(self, cycle: int):
+        self.cycle = cycle
+
+
+class CriticalOrbitEntry(Record):
     """One free critical orbit and its verdict; ``note`` says why an
     inconsistent orbit is inconsistent and is None for a consistent one."""
 
-    point: complex
-    multiplicity: int
-    record: OrbitRecord
-    classification: object
-    consistent: bool
-    note: Optional[str]
+    __slots__ = ("point", "multiplicity", "record", "classification", "consistent", "note")
+
+    def __init__(self, point: complex, multiplicity: int, record: OrbitRecord, classification: object,
+                 consistent: bool, note: Optional[str]):
+        self.point, self.multiplicity, self.record = point, multiplicity, record
+        self.classification, self.consistent, self.note = classification, consistent, note
 
 
-@dataclass
-class CriticalOrbitReport:
-    entries: List[CriticalOrbitEntry]
-    pole_domains: Tuple[Optional[Tuple[int, int]], ...]
+class CriticalOrbitReport(Record):
+    __slots__ = ("entries", "pole_domains")
+
+    def __init__(self, entries: List[CriticalOrbitEntry],
+                 pole_domains: Tuple[Optional[Tuple[int, int]], ...]):
+        self.entries, self.pole_domains = entries, pole_domains
 
     @property
     def all_consistent(self) -> bool:
         return all(e.consistent for e in self.entries)
 
 
-@dataclass
-class UntouchedCycleCheck:
-    cycle: int
-    period: int
-    found: Optional[complex]
-    multiplier: Optional[float]
-    persisted: bool
+class UntouchedCycleCheck(Record):
+    __slots__ = ("cycle", "period", "found", "multiplier", "persisted")
+
+    def __init__(self, cycle: int, period: int, found: Optional[complex], multiplier: Optional[float],
+                 persisted: bool):
+        self.cycle, self.period, self.found = cycle, period, found
+        self.multiplier, self.persisted = multiplier, persisted
 
 
-@dataclass
-class VerificationVerdict:
-    degree_ok: bool
-    census_ok: bool
-    critical_orbits_ok: bool
-    untouched_cycles_ok: bool
-    condition_holds: bool
-    condition_report: ConditionReport
-    census: Optional[CriticalCensus]
-    orbit_report: Optional[CriticalOrbitReport]
-    untouched: List[UntouchedCycleCheck]
-    details: List[str]
-    note: str = ""
+class VerificationVerdict(Record):
+    __slots__ = ("degree_ok", "census_ok", "critical_orbits_ok", "untouched_cycles_ok", "condition_holds",
+                 "condition_report", "census", "orbit_report", "untouched", "details", "note")
+
+    def __init__(self, degree_ok: bool, census_ok: bool, critical_orbits_ok: bool, untouched_cycles_ok: bool,
+                 condition_holds: bool, condition_report: ConditionReport, census: Optional[CriticalCensus],
+                 orbit_report: Optional[CriticalOrbitReport], untouched: List[UntouchedCycleCheck],
+                 details: List[str], note: str = ""):
+        self.degree_ok, self.census_ok, self.critical_orbits_ok = degree_ok, census_ok, critical_orbits_ok
+        self.untouched_cycles_ok, self.condition_holds = untouched_cycles_ok, condition_holds
+        self.condition_report, self.census, self.orbit_report = condition_report, census, orbit_report
+        self.untouched, self.details, self.note = untouched, details, note
 
     @property
     def passed(self) -> bool:

@@ -689,6 +689,27 @@ def test_import_cli_defers_verify_skew_and_surgery():
         mcmlike.cli.no_such_name
 
 
+def test_light_commands_load_no_dataclasses_or_inspect():
+    # Records generate no code, so a cold light command, plan's surgery
+    # included, imports neither module.
+    runs = [
+        ["check", fx("q_family")],
+        ["eig", fx("q_family")],
+        ["classify", fx("q_family")],
+        ["plan", fx("q_family")],
+        ["typecmp", fx("q_family"), fx("q_conjugate")],
+    ]
+    script = (
+        "import sys, mcmlike.cli as cli\n"
+        f"codes = [cli.main(argv) for argv in {runs!r}]\n"
+        "loaded = [m for m in ('dataclasses', 'inspect', 'mcmlike.surgery') if m in sys.modules]\n"
+        "print(codes, loaded)\n"
+    )
+    proc = _cold("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] ['mcmlike.surgery']"
+
+
 def test_render_starts_no_thread_pool(tmp_path):
     script = (
         "import os, sys; os.environ.pop('MCM_THREADS', None); "

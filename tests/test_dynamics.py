@@ -1,7 +1,6 @@
 """Polynomials, rational perturbations, root finding, and orbit iteration."""
 
 import cmath
-import dataclasses
 import math
 import pickle
 import random
@@ -701,10 +700,12 @@ def test_maps_of_one_shape_share_a_factory_and_keep_their_constants():
     p = ComplexPoly([1, 2, 3])
     assert p.eval(2.0) == 17 and p.derivative().eval(2.0) == 14
     assert p.derivative() is p.derivative()
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    terms = f.terms
+    with pytest.raises(AttributeError):
         p.coeffs = (1 + 0j, 2 + 0j, 4 + 0j)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         f.terms = ()
+    assert p.coeffs == (1 + 0j, 2 + 0j, 3 + 0j) and f.terms is terms
     assert p.eval(2.0) == 17 and _evaluator(f) is ev_f
     # A pickled map leaves its bound evaluator out and binds again.
     for m in (f, p):

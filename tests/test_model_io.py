@@ -1,6 +1,5 @@
 """On-disk model format: canonical serialization and total validation."""
 
-import dataclasses
 import importlib.util
 import json
 import sys
@@ -227,7 +226,8 @@ REMOVED_PARAM_KEYS = ("escapeRadius", "matchTol", "cycleMatchTol", "cycleTol", "
 
 def test_verify_params_mapping():
     vp = loads_model(poly_doc(params={"maxIter": 500, "poleBall": 0.25})).verify_params()
-    assert dataclasses.asdict(vp) == {"max_iter": 500, "pole_ball": 0.25}
+    assert type(vp).__slots__ == ("max_iter", "pole_ball")
+    assert {name: getattr(vp, name) for name in type(vp).__slots__} == {"max_iter": 500, "pole_ball": 0.25}
     for key in REMOVED_PARAM_KEYS:
         with pytest.raises(SchemaError, match="unknown key in params") as exc:
             loads_model(poly_doc(params={"maxIter": 500, key: 1e-6}))
