@@ -4,7 +4,7 @@
 Copies src/, tests/ and fixtures/ into a temporary directory, checks that
 the unchanged copy passes tests/test_dynamics.py, tests/test_render.py,
 tests/test_model.py, tests/test_skew.py, tests/test_verify.py and
-tests/test_record.py, then applies each of the eight mutants in turn to the
+tests/test_record.py, then applies each of the nine mutants in turn to the
 copy and runs those six files again.  A mutant is caught when the tests fail.
 
 Exit status 0 when every mutant is caught; 1 when one survives, its anchor
@@ -69,6 +69,12 @@ MUTANTS = [
         "src/mcmlike/verify.py",
         "if best is not None and best[0] <= POLE_MATCH_TOL * (1.0 + abs(a)):",
         "if best is not None:",
+    ),
+    (
+        "a census ring one start short of the numerator's degree",
+        "src/mcmlike/verify.py",
+        "_root_circle(0j, complex(math.cos(2.0), math.sin(2.0)), n)",
+        "_root_circle(0j, complex(math.cos(2.0), math.sin(2.0)), n - 1)",
     ),
     (
         "record equality that ignores the class",

@@ -92,7 +92,7 @@ def check_condition(model, pole_data: PoleData) -> ConditionReport:
     pole_data.validate(model)
     rows = []
     for idx in range(1, len(model.cycles) + 1):
-        prod = transition_matrix(model, pole_data, idx).cyclic_product()
+        prod = _transition_matrix(model, pole_data, idx).cyclic_product()
         rows.append(CycleCondition(idx, prod, prod < 1, pole_data.picked_phases(idx)))
     return ConditionReport(tuple(rows), all(r.holds for r in rows))
 
@@ -104,12 +104,15 @@ class TransitionMatrix(FrozenRecord):
     [s][(s+1) mod p] is 1/n_s, plus 1/d_s when phase s is picked.
     """
 
-    __slots__ = ("cycle", "size", "entries")
+    __slots__ = ("cycle", "entries")
 
-    def __init__(self, cycle: int, size: int, entries: Tuple[Tuple[Fraction, ...], ...]):
+    def __init__(self, cycle: int, entries: Tuple[Tuple[Fraction, ...], ...]):
         object.__setattr__(self, "cycle", cycle)
-        object.__setattr__(self, "size", size)
         object.__setattr__(self, "entries", entries)
+
+    @property
+    def size(self) -> int:
+        return len(self.entries)
 
     def cyclic_product(self) -> Fraction:
         prod = Fraction(1)
@@ -127,6 +130,11 @@ def check_cycle_index(model, cycle: int) -> None:
 def transition_matrix(model, pole_data: PoleData, cycle: int) -> TransitionMatrix:
     check_cycle_index(model, cycle)
     pole_data.validate(model)
+    return _transition_matrix(model, pole_data, cycle)
+
+
+def _transition_matrix(model, pole_data: PoleData, cycle: int) -> TransitionMatrix:
+    """transition_matrix for a cycle index and pole data already checked."""
     cyc = model.cycles[cycle - 1]
     p = cyc.period
     rows = [[Fraction(0)] * p for _ in range(p)]
@@ -135,7 +143,7 @@ def transition_matrix(model, pole_data: PoleData, cycle: int) -> TransitionMatri
         d = pole_data.order(cycle, s)
         val = Fraction(1, n) if d is None else Fraction(1, n) + Fraction(1, d)
         rows[s][(s + 1) % p] = val
-    return TransitionMatrix(cycle, p, tuple(tuple(r) for r in rows))
+    return TransitionMatrix(cycle, tuple(tuple(r) for r in rows))
 
 
 def leading_eigenvalue_exact(tm: TransitionMatrix) -> Tuple[Fraction, int]:

@@ -101,7 +101,8 @@ def _resolve(mf: ModelFile) -> Tuple[HpcfpModel, PoleData]:
     pd = mf.pole_data
     if pd is None:
         raise CliError("model file has no pole_data")
-    pd.validate(model)
+    if mf.abstract is None:  # load_model validated an abstract file's pole data
+        pd.validate(model)
     return model, pd
 
 

@@ -125,9 +125,6 @@ class ComplexPoly(_Map):
             out[k] += c
         return ComplexPoly(tuple(out))
 
-    def __sub__(self, other: "ComplexPoly") -> "ComplexPoly":
-        return self + (other * (-1.0))
-
     def __mul__(self, other: Union["ComplexPoly", complex, float, int]):
         if isinstance(other, ComplexPoly):
             out = [0j] * (len(self.coeffs) + len(other.coeffs) - 1)

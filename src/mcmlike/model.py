@@ -55,12 +55,16 @@ TYPE_COEFF_TOL = 1e-8
 class CycleSpec(Record):
     """One super-attracting cycle; points are ordered along the orbit."""
 
-    __slots__ = ("index", "period", "degrees", "points", "multiplier")
+    __slots__ = ("index", "degrees", "points", "multiplier")
 
-    def __init__(self, index: int, period: int, degrees: Tuple[int, ...],
-                 points: Optional[Tuple[complex, ...]] = None, multiplier: float = 0.0):
-        self.index, self.period, self.degrees = index, period, degrees  # index is 1-based
+    def __init__(self, index: int, degrees: Tuple[int, ...], points: Optional[Tuple[complex, ...]] = None,
+                 multiplier: float = 0.0):
+        self.index, self.degrees = index, degrees  # index is 1-based
         self.points, self.multiplier = points, multiplier
+
+    @property
+    def period(self) -> int:
+        return len(self.degrees)
 
 
 class CriticalAssignment(Record):
@@ -105,7 +109,7 @@ def from_abstract(degree: int, cycles: Sequence[Tuple[int, Sequence[int]]]) -> H
         if max(degrees) < 2:
             raise ValueError(f"cycle {pos}: a super-attracting cycle needs some degree >= 2")
         used += sum(d - 1 for d in degrees)
-        specs.append(CycleSpec(pos, period, degrees))
+        specs.append(CycleSpec(pos, degrees))
     if used > degree - 1:
         raise ValueError(f"cycle degrees need {used} critical points but the polynomial has {degree - 1}")
     return HpcfpModel(degree=degree, cycles=tuple(specs))
@@ -228,7 +232,7 @@ def classify_polynomial(p: ComplexPoly, max_iter: int = 2000) -> HpcfpModel:
     for new, old in enumerate(order, start=1):
         r, pts, deg = rotations[old], pool_points[old], degrees[old]
         specs.append(
-            CycleSpec(new, len(pts), tuple(deg[r:] + deg[:r]), tuple(pts[r:] + pts[:r]), multipliers[old])
+            CycleSpec(new, tuple(deg[r:] + deg[:r]), tuple(pts[r:] + pts[:r]), multipliers[old])
         )
     remap = {old: new for new, old in enumerate(order, start=1)}
     assignments = [

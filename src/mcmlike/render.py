@@ -105,12 +105,20 @@ class ClassGrid(Record):
     """(h, w) labels: kind (uint8); iters (int32), the escape index where kind == ESCAPED;
     basin_id and basin_phase (int16), -1 elsewhere.  spec is the spec classify_grid sampled."""
 
-    __slots__ = ("width", "height", "kind", "iters", "basin_id", "basin_phase", "spec")
+    __slots__ = ("kind", "iters", "basin_id", "basin_phase", "spec")
 
-    def __init__(self, width: int, height: int, kind: np.ndarray, iters: np.ndarray, basin_id: np.ndarray,
-                 basin_phase: np.ndarray, spec: Optional[RenderSpec] = None):
-        self.width, self.height, self.kind, self.iters = width, height, kind, iters
-        self.basin_id, self.basin_phase, self.spec = basin_id, basin_phase, spec
+    def __init__(self, kind: np.ndarray, iters: np.ndarray, basin_id: np.ndarray, basin_phase: np.ndarray,
+                 spec: Optional[RenderSpec] = None):
+        self.kind, self.iters, self.basin_id = kind, iters, basin_id
+        self.basin_phase, self.spec = basin_phase, spec
+
+    @property
+    def width(self) -> int:
+        return self.kind.shape[1]
+
+    @property
+    def height(self) -> int:
+        return self.kind.shape[0]
 
     def tag(self, ix: int, iy: int) -> str:
         k = self.kind[iy, ix]
@@ -289,8 +297,6 @@ def classify_grid(spec: RenderSpec) -> ClassGrid:
         full[:rows, cols:] = a[:, w - cols : 0 : -1]
         full[rows:] = full[h - rows : 0 : -1]
     return ClassGrid(
-        width=spec.width,
-        height=spec.height,
         kind=kind,
         iters=iters,
         basin_id=bid,

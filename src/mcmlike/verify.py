@@ -119,26 +119,31 @@ class UntouchedCycleCheck(Record):
 
 
 class VerificationVerdict(Record):
-    __slots__ = ("degree_ok", "census_ok", "critical_orbits_ok", "untouched_cycles_ok", "condition_holds",
-                 "condition_report", "census", "orbit_report", "untouched", "details", "note")
+    __slots__ = ("degree_ok", "condition_holds", "condition_report", "census", "orbit_report", "untouched",
+                 "details", "note")
 
-    def __init__(self, degree_ok: bool, census_ok: bool, critical_orbits_ok: bool, untouched_cycles_ok: bool,
-                 condition_holds: bool, condition_report: ConditionReport, census: Optional[CriticalCensus],
-                 orbit_report: Optional[CriticalOrbitReport], untouched: List[UntouchedCycleCheck],
-                 details: List[str], note: str = ""):
-        self.degree_ok, self.census_ok, self.critical_orbits_ok = degree_ok, census_ok, critical_orbits_ok
-        self.untouched_cycles_ok, self.condition_holds = untouched_cycles_ok, condition_holds
-        self.condition_report, self.census, self.orbit_report = condition_report, census, orbit_report
-        self.untouched, self.details, self.note = untouched, details, note
+    def __init__(self, degree_ok: bool, condition_holds: bool, condition_report: ConditionReport,
+                 census: Optional[CriticalCensus], orbit_report: Optional[CriticalOrbitReport],
+                 untouched: List[UntouchedCycleCheck], details: List[str], note: str = ""):
+        self.degree_ok, self.condition_holds, self.condition_report = degree_ok, condition_holds, condition_report
+        self.census, self.orbit_report, self.untouched = census, orbit_report, untouched
+        self.details, self.note = details, note
+
+    @property
+    def census_ok(self) -> bool:
+        return self.census is not None
+
+    @property
+    def critical_orbits_ok(self) -> bool:
+        return self.orbit_report is not None and self.orbit_report.all_consistent
+
+    @property
+    def untouched_cycles_ok(self) -> bool:
+        return all(c.persisted for c in self.untouched)
 
     @property
     def passed(self) -> bool:
-        return (
-            self.degree_ok
-            and self.census_ok
-            and self.critical_orbits_ok
-            and self.untouched_cycles_ok
-        )
+        return self.degree_ok and self.census_ok and self.critical_orbits_ok and self.untouched_cycles_ok
 
 
 def map_degree(f: MapLike) -> int:
@@ -146,44 +151,6 @@ def map_degree(f: MapLike) -> int:
     the degree of the common-denominator numerator whenever the base
     degree is at least 1."""
     return f.base.degree + sum(d for _, d in pole_orders(f))
-
-
-def _pole_terms(f: RationalMapExpr) -> List[Tuple[int, complex, Tuple[int, ...]]]:
-    """(d_k, c_k, e_k) for every pole k, in pole_orders order: its order,
-    the coefficient of its term, and the exponents e_kj (j != k) of
-
-        F = P' prod_j (z - a_j)^(d_j + 1) - sum_k d_k c_k prod_{j != k} (z - a_j)^e_kj,
-
-    the numerator of f' over prod_j (z - a_j)^(d_j + 1): e_kj is 1 for a
-    pole j in k's own term and d_j + 1 otherwise."""
-    orders = [d for _, d in pole_orders(f)]
-    out, first = [], 0
-    for c, factors in f.terms:
-        own = range(first, first + len(factors))
-        out += [
-            (orders[k], c, tuple(1 if j in own else dj + 1 for j, dj in enumerate(orders) if j != k))
-            for k in own
-        ]
-        first = own.stop
-    return out
-
-
-def free_critical_polynomial(f: MapLike) -> ComplexPoly:
-    """Numerator of f' over the common denominator; its roots are the free
-    critical points (poles never appear among them); P' for a polynomial."""
-    if not f.terms:
-        return f.base.derivative()
-    poles = pole_orders(f)
-    full = ComplexPoly((1.0,))
-    for a, d in poles:
-        full = full * ComplexPoly.from_roots([a] * (d + 1))
-    out = f.base.derivative() * full
-    for k, (d, c, exps) in enumerate(_pole_terms(f)):
-        rest = ComplexPoly((d * c,))
-        for (b, _), e in zip(poles[:k] + poles[k + 1:], exps):
-            rest = rest * ComplexPoly.from_roots([b] * e)
-        out = out - rest
-    return out
 
 
 def _local_coefficient(f: RationalMapExpr, k: int, z: complex) -> complex:
@@ -264,18 +231,25 @@ def _power_product(ws, exps) -> Tuple[complex, complex]:
 
 
 def _numerator_evaluator(f: RationalMapExpr):
-    """z -> (F, F', |F|~, |F'|~) for the numerator that
-    free_critical_polynomial expands, evaluated in factored form:
+    """z -> (F, F', |F|~, |F'|~) for the numerator of f' over
+    prod_j (z - a_j)^(d_j + 1), evaluated in factored form:
 
         F = P' prod_j (z - a_j)^(d_j + 1) - sum_k d_k c_k prod_{j != k} (z - a_j)^e_kj
 
-    with (d_k, c_k, e_kj) from ``_pole_terms``.  |F|~ and |F'|~ evaluate
-    the same terms on magnitudes; they scale the rounding error of F and F'.
+    for the poles k in pole_orders order, c_k the coefficient of k's term,
+    and e_kj 1 for a pole j in k's own term and d_j + 1 otherwise.  |F|~ and
+    |F'|~ evaluate the same terms on magnitudes; they scale the rounding
+    error of F and F'.
     """
     poles = pole_orders(f)
-    terms = _pole_terms(f)
     full = [d + 1 for _, d in poles]
-    signed = [-d * c for d, c, _ in terms]
+    signed, exps, first = [], [], 0
+    for c, factors in f.terms:
+        own = range(first, first + len(factors))
+        for k in own:
+            signed.append(-poles[k][1] * c)
+            exps.append(tuple(1 if j in own else e for j, e in enumerate(full) if j != k))
+        first = own.stop
     magnitudes = [abs(c) for c in signed]
     dp = f.base.derivative()
     ddp = dp.derivative()
@@ -285,8 +259,8 @@ def _numerator_evaluator(f: RationalMapExpr):
     def combine(ws, p1, p2, cs):
         w, dw = _power_product(ws, full)
         val, der = p1 * w, p2 * w + p1 * dw
-        for k, (c, (_, _, exps)) in enumerate(zip(cs, terms)):
-            r, dr = _power_product(ws[:k] + ws[k + 1:], exps)
+        for k, (c, e) in enumerate(zip(cs, exps)):
+            r, dr = _power_product(ws[:k] + ws[k + 1:], e)
             val += c * r
             der += c * dr
         return val, der
@@ -303,26 +277,38 @@ def _numerator_evaluator(f: RationalMapExpr):
     return evaluate
 
 
-# Sweeps of the simultaneous Newton iteration; seeded roots settle in a handful.
+# Sweeps of the simultaneous Newton iteration (at most 31 from the ring on the fixture sweeps).
 CENSUS_SWEEPS = 60
 
 
-def _certified_roots(f: RationalMapExpr) -> Optional[List[complex]]:
-    """All N roots of the free critical numerator F, certified simple, or None.
+def _census_ring(f: RationalMapExpr, n: int) -> List[complex]:
+    """n starting points on the circle |z| = R at a fixed phase, R the larger
+    of 1 + max |a_k| over the poles and the Cauchy bound of P', so that the
+    circle encloses every pole and every critical point of P."""
+    dp = f.base.derivative()
+    bounds = [1.0 + abs(a) for a, _ in pole_orders(f)]
+    bounds += [1.0 + abs(c / dp.coeffs[-1]) for c in dp.coeffs[:-1]]
+    return [max(bounds) * z for z in _root_circle(0j, complex(math.cos(2.0), math.sin(2.0)), n)]
 
-    From the seeds, Newton on F in factored form with Aberth's correction
-    (the step F/F' divided by 1 - (F/F') sum_j 1/(z - z_j), so that two
-    seeds cannot settle on one root) moves each approximation until |F| is
-    within its rounding bound g = 8 (N + 2) eps |F|~, or the step is below
-    the spacing of floats at z.  The disc around z of radius
-    N (|F(z)| + g) / (|F'(z)| - g') holds a root of F (some
-    |z - root| <= N |F / F'| for a degree-N polynomial); N pairwise
-    disjoint discs hold all N roots, one each.
+
+def _certified_roots(
+    f: RationalMapExpr, starts: Optional[List[complex]], n: int
+) -> Optional[List[Tuple[complex, float]]]:
+    """All n roots of the free critical numerator F, each with the radius
+    of its inclusion disc, certified simple; None when that fails.
+
+    From the n starting points, Newton on F in factored form with Aberth's
+    correction (the step F/F' divided by 1 - (F/F') sum_j 1/(z - z_j), so
+    that two approximations cannot settle on one root) moves each
+    approximation until |F| is within its rounding bound
+    g = 8 (n + 2) eps |F|~, or the step is below the spacing of floats at z.
+    The disc around z of radius n (|F(z)| + g) / (|F'(z)| - g') holds a root
+    of F (some |z - root| <= n |F / F'| for a degree-n polynomial); n
+    pairwise disjoint discs hold all n roots, one each.
     """
-    roots = _census_seeds(f)
-    n = f.base.degree - 1 + sum(d + 1 for _, d in pole_orders(f))
-    if roots is None or len(roots) != n:
+    if starts is None or len(starts) != n:
         return None
+    roots = list(starts)
     evaluate = _numerator_evaluator(f)
     gamma = 8.0 * (n + 2) * EPS
     values = [None] * n
@@ -358,22 +344,24 @@ def _certified_roots(f: RationalMapExpr) -> Optional[List[complex]]:
         for j in range(i + 1, n):
             if not abs(roots[i] - roots[j]) > radii[i] + radii[j]:
                 return None
-    return roots
+    return list(zip(roots, radii))
 
 
 def free_critical_points(f: MapLike) -> List[Tuple[complex, int]]:
     """The free critical points with multiplicities, sorted by (re, im).
 
-    For a map with pole terms, the certified roots of the unexpanded
-    numerator (``_certified_roots``), all simple; when they cannot be
-    certified, find_roots on the expanded free_critical_polynomial(f).
-    Without pole terms, find_roots(P').
+    Without pole terms, find_roots(P').  With them, the roots of the
+    unexpanded numerator of f', certified simple by ``_certified_roots``
+    from the seeds and, only when that fails, from ``_census_ring``.  When
+    both fail (a multiple free critical point always does) NonConvergence.
     """
-    if f.terms:
-        roots = _certified_roots(f)
-        if roots is not None:
-            return sorted(((z, 1) for z in roots), key=lambda zm: (zm[0].real, zm[0].imag))
-    return find_roots(free_critical_polynomial(f))
+    if not f.terms:
+        return find_roots(f.base.derivative())
+    n = f.base.degree - 1 + sum(d + 1 for _, d in pole_orders(f))
+    roots = _certified_roots(f, _census_seeds(f), n) or _certified_roots(f, _census_ring(f, n), n)
+    if roots is None:
+        raise NonConvergence("free critical points not certified from the seeds nor from a ring")
+    return sorted(((z, 1) for z, _ in roots), key=lambda zm: (zm[0].real, zm[0].imag))
 
 
 def critical_census(f: MapLike) -> CriticalCensus:
@@ -536,8 +524,7 @@ def verify_family(
     if not degree_ok:
         details.append(f"degree: map degree {deg} != n + sum d = {n + d_total}")
 
-    census = None
-    orbit_report = None
+    census = orbit_report = None
     try:
         census = critical_census(f)
     except (CensusMismatch, NonConvergence) as exc:
@@ -557,19 +544,8 @@ def verify_family(
         for c in untouched_checks
         if not c.persisted
     )
-    untouched_cycles_ok = all(c.persisted for c in untouched_checks)
 
     note = "" if condition_holds else "NotExpectedToPass"
     return VerificationVerdict(
-        degree_ok=degree_ok,
-        census_ok=census is not None,
-        critical_orbits_ok=orbit_report is not None and orbit_report.all_consistent,
-        untouched_cycles_ok=untouched_cycles_ok,
-        condition_holds=condition_holds,
-        condition_report=condition_report,
-        census=census,
-        orbit_report=orbit_report,
-        untouched=untouched_checks,
-        details=details,
-        note=note,
+        degree_ok, condition_holds, condition_report, census, orbit_report, untouched_checks, details, note
     )

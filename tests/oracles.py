@@ -8,6 +8,8 @@ decides, and the exact comparisons used against them.
 - Render: ``masked_classify_points`` and ``masked_rgb``, one whole-array
   step at a time over a full-size mask.
 - Roots: ``reference_find_roots`` on raw coefficient lists.
+- Critical numerator: ``expanded_numerator``, the numerator of f' over
+  the poles' common denominator, expanded into coefficients.
 
 The code in ``src`` must give what these give, compared exactly (roots up
 to the sign of a zero).  A change that replaces an implementation is checked
@@ -29,6 +31,7 @@ from mcmlike.dynamics import (
     POLE_COLLISION_RTOL,
     ROOT_CLUSTER_TOL,
     ROOT_RESIDUAL_RTOL,
+    ComplexPoly,
     ConvergedToCycle,
     Escaped,
     NonConvergence,
@@ -367,3 +370,32 @@ def _cluster_roots(roots, coeffs):
             clusters = new
             changed = True
     return clusters
+
+
+# ---------------------------------------------------------------------------
+# Critical numerator
+
+
+def expanded_numerator(f):
+    """f' times prod_j (z - a_j)^(d_j + 1), expanded into coefficients: its
+    roots are the free critical points; P' for a polynomial.  Pole k of a
+    term c / prod (z - a)^d contributes -d_k c times every pole factor but
+    its own, each to the power 1 within the term and d_j + 1 outside it."""
+    if not f.terms:
+        return f.base.derivative()
+    poles = pole_orders(f)
+    full = ComplexPoly((1.0,))
+    for a, d in poles:
+        full = full * ComplexPoly.from_roots([a] * (d + 1))
+    out = f.base.derivative() * full
+    first = 0
+    for c, factors in f.terms:
+        own = range(first, first + len(factors))
+        for k in own:
+            rest = ComplexPoly((poles[k][1] * c,))
+            for j, (b, dj) in enumerate(poles):
+                if j != k:
+                    rest = rest * ComplexPoly.from_roots([b] * (1 if j in own else dj + 1))
+            out = out + rest * -1.0
+        first = own.stop
+    return out

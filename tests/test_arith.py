@@ -14,9 +14,11 @@ from mcmlike.arith import (
     power_iteration_eigenvalue,
     transition_matrix,
 )
+from mcmlike.cli import main
 from mcmlike.model import from_abstract
+from mcmlike.model_io import load_model
 
-from conftest import random_pole_model
+from conftest import FIXTURES, random_pole_model
 
 Q_MODEL = from_abstract(3, [(2, (2, 2))])
 Q_PD = PoleData.from_dict({(1, 0): 1})
@@ -128,3 +130,24 @@ def test_eigenvalue_condition_equivalence_randomized():
 def test_transition_matrix_cycle_out_of_range():
     with pytest.raises(InvalidPoleDataKey):
         transition_matrix(Q_MODEL, Q_PD, 2)
+
+
+def test_pole_data_is_validated_once_per_call_chain(monkeypatch, capsys):
+    # r_abstract has two cycles.  check_condition validates once, not again
+    # per cycle; `check` adds the validation load_model does on reading the file.
+    mf = load_model(FIXTURES / "r_abstract.json")
+    calls = []
+    real = PoleData.validate
+
+    def counting(self, model):
+        calls.append(model)
+        return real(self, model)
+
+    monkeypatch.setattr(PoleData, "validate", counting)
+    assert len(mf.abstract.cycles) == 2
+    check_condition(mf.abstract, mf.pole_data)
+    assert len(calls) == 1
+    calls.clear()
+    assert main(["check", str(FIXTURES / "r_abstract.json")]) == 0
+    assert len(calls) == 2
+    assert capsys.readouterr().out.endswith("condition: holds\n")

@@ -38,13 +38,14 @@ from mcmlike.dynamics import (
 )
 from mcmlike.model import classify_polynomial
 from mcmlike.model_io import load_model
-from mcmlike.verify import critical_census, free_critical_points, free_critical_polynomial, map_degree
+from mcmlike.verify import critical_census, free_critical_points, map_degree
 
 from conftest import FIXTURES
 from oracles import (
     assert_same_array,
     assert_same_scalar,
     bits,
+    expanded_numerator,
     interpretive_eval,
     interpretive_poly_eval,
     reference_find_roots,
@@ -75,7 +76,7 @@ def test_poly_arithmetic_and_compose():
     b = ComplexPoly([-1, 1])
     assert (a * b).coeffs == (-1 + 0j, 0j, 1 + 0j)
     assert (a + b).coeffs == (0j, 2 + 0j)
-    assert (a - a).coeffs == (0j,)
+    assert (a + a * -1.0).coeffs == (0j,)
     ident = ComplexPoly([0, 1])
     assert Q.compose(ident).coeffs == Q.coeffs
     inner = ComplexPoly([0.3 + 0.2j, 1 - 0.5j])
@@ -822,7 +823,7 @@ def test_find_roots_matches_the_raw_coefficient_form_on_fixtures(name):
         lam = mf.build_map().terms[0][0]
         for j in range(61):
             f = mf.build_map(lambda_override=lam * 10.0 ** (-2.0 + 3.0 * j / 60))
-            assert_same_roots(free_critical_polynomial(f))
+            assert_same_roots(expanded_numerator(f))
 
 
 def test_find_roots_matches_the_raw_coefficient_form_on_random_polynomials():

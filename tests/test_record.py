@@ -45,14 +45,14 @@ SAMPLES = [
     PoleData((((1, 0), 2),)),
     CycleCondition(1, Fraction(3, 4), True, (0,)),
     ConditionReport((), True),
-    TransitionMatrix(1, 1, ((Fraction(1, 2),),)),
+    TransitionMatrix(1, ((Fraction(1, 2),),)),
     SQUARE,
     simple_poles_map(SQUARE, [(0j, 1, 1e-3)]),
     Escaped(3, 1 + 0j, 0.5j, 0, 0.25),
     ConvergedToCycle(2, 0j, 20),
     Undecided(),
     OrbitRecord((0j,), Undecided()),
-    CycleSpec(1, 2, (2, 2), (0j, 1 + 0j), 0.0),
+    CycleSpec(1, (2, 2), (0j, 1 + 0j), 0.0),
     CriticalAssignment(0j, 1, 1, 0, 0),
     HpcfpModel(2, (), (), ()),
     NormalizedType((1 + 0j,), ((1, (2,)),), ()),
@@ -60,7 +60,7 @@ SAMPLES = [
     VerifyParams(),
     ModelFile(polynomial=SQUARE),
     RenderSpec(SQUARE, 4, 4),
-    ClassGrid(1, 1, (0,), (0,), (-1,), (-1,)),
+    ClassGrid((0,), (0,), (-1,), (-1,)),
     RadialProfile((0.5,), (0,), (0,), 0),
     SurgeryConstants(1, (0,), (), 1.0, (), (), (2,), ()),
     LevelPlan((), (), 0.5, True, True, True),
@@ -77,7 +77,7 @@ SAMPLES = [
     CriticalOrbitEntry(0j, 1, None, None, True, None),
     CriticalOrbitReport((), ()),
     UntouchedCycleCheck(1, 1, None, None, False),
-    VerificationVerdict(True, True, True, True, True, None, None, None, (), (), ""),
+    VerificationVerdict(True, True, None, None, None, (), (), ""),
 ]
 IDS = [type(r).__name__ for r in SAMPLES]
 

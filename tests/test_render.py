@@ -142,10 +142,7 @@ def test_symmetry_score_reevaluates_rotated_seeds():
     grid = classify_grid(spec)
     assert grid.spec is spec
     assert rotational_symmetry_score(grid, 6) >= 0.995
-    bare = ClassGrid(
-        width=grid.width, height=grid.height, kind=grid.kind, iters=grid.iters,
-        basin_id=grid.basin_id, basin_phase=grid.basin_phase,
-    )
+    bare = ClassGrid(kind=grid.kind, iters=grid.iters, basin_id=grid.basin_id, basin_phase=grid.basin_phase)
     with pytest.raises(ValueError):
         rotational_symmetry_score(bare, 6)
 
@@ -482,7 +479,7 @@ def _label_grid():
     kind[0, 1 + n_esc :] = KIND_BASIN
     bid[0, 1 + n_esc :] = [i for i, _ in basins]
     bph[0, 1 + n_esc :] = [ph for _, ph in basins]
-    return ClassGrid(width=n, height=1, kind=kind, iters=iters, basin_id=bid, basin_phase=bph)
+    return ClassGrid(kind=kind, iters=iters, basin_id=bid, basin_phase=bph)
 
 
 def test_grid_to_rgb_matches_masked_colouring():
@@ -499,7 +496,7 @@ def test_grid_to_text_tags_every_label():
     assert grid_to_text(grid) == ",".join(tags) + "\n"
     grid.kind[0, 0] = 7  # not a class: read as Undecided
     two_rows = ClassGrid(
-        width=2, height=2, kind=grid.kind[:, :4].reshape(2, 2),
+        kind=grid.kind[:, :4].reshape(2, 2),
         iters=grid.iters[:, :4].reshape(2, 2), basin_id=grid.basin_id[:, :4].reshape(2, 2),
         basin_phase=grid.basin_phase[:, :4].reshape(2, 2),
     )
@@ -534,10 +531,7 @@ def assert_grid_matches_every_seed(spec, tmp_path):
     for g, w in zip(got, full):
         assert g.dtype == w.dtype and g.flags.c_contiguous
         assert np.array_equal(g, w)
-    reference = ClassGrid(
-        width=spec.width, height=spec.height, kind=full[0], iters=full[1],
-        basin_id=full[2], basin_phase=full[3],
-    )
+    reference = ClassGrid(kind=full[0], iters=full[1], basin_id=full[2], basin_phase=full[3])
     assert ppm_bytes(grid, tmp_path, "grid.ppm") == ppm_bytes(reference, tmp_path, "ref.ppm")
     return grid
 

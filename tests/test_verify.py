@@ -1,5 +1,6 @@
 """Numerical family verification against expected models."""
 
+import json
 import math
 import random
 
@@ -9,11 +10,11 @@ import pytest
 
 import mcmlike.verify
 from mcmlike.arith import PoleData
+from mcmlike.cli import main
 from mcmlike.dynamics import (
     ComplexPoly,
     NonConvergence,
     eval_map_derivative,
-    find_roots,
     pole_orders,
     product_pole_map,
     simple_poles_map,
@@ -24,15 +25,19 @@ from mcmlike.verify import (
     ConvergesToBoundedCycle,
     EscapesViaTrapDoor,
     InBasinOfInfinityDirectly,
+    _census_ring,
+    _census_seeds,
+    _certified_roots,
+    _numerator_evaluator,
     critical_census,
     free_critical_points,
-    free_critical_polynomial,
     map_degree,
     untouched_cycle_checks,
     verify_family,
 )
 
 from conftest import FIXTURES
+from oracles import expanded_numerator, interpretive_poly_eval, reference_find_roots
 
 
 def load_family(name):
@@ -201,10 +206,13 @@ def test_map_degree_and_census():
 
 @pytest.mark.parametrize("name", ["q_family", "f_cubic", "h_multipole"])
 def test_free_critical_polynomial_identity(name):
-    # N(z) = f'(z) * prod (z - a_k)**(d_k + 1) for both pole layouts.
+    # N(z) = f'(z) * prod (z - a_k)**(d_k + 1) for both pole layouts, and
+    # the census evaluates N and N' in factored form to the same values.
     f, _, _, _ = load_family(name)
     factors = pole_orders(f)
-    numer = free_critical_polynomial(f)
+    numer = expanded_numerator(f)
+    dnumer = numer.derivative()
+    factored = _numerator_evaluator(f)
     rng = random.Random(99)
     for _ in range(12):
         z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
@@ -216,6 +224,10 @@ def test_free_critical_polynomial_identity(name):
         lhs = numer.eval(z)
         rhs = eval_map_derivative(f, z) * full
         assert abs(lhs - rhs) <= 1e-7 * (1.0 + abs(rhs))
+        val, der, _, _ = factored(z)
+        assert abs(val - lhs) <= 1e-7 * (1.0 + abs(lhs))
+        want = interpretive_poly_eval(dnumer.coeffs, z)
+        assert abs(der - want) <= 1e-7 * (1.0 + abs(want))
 
 
 def test_verify_computes_the_census_once(monkeypatch):
@@ -266,12 +278,12 @@ def test_programming_error_in_census_propagates(monkeypatch):
 
 
 def no_fallback(monkeypatch):
-    """Make the expanded-coefficient fallback fail loudly."""
+    """Make the ring start fail loudly, so that only the seeds can certify."""
 
-    def refuse(fmap):
-        raise AssertionError("census fell back to the expanded numerator")
+    def refuse(fmap, n):
+        raise AssertionError("census fell back to the ring start")
 
-    monkeypatch.setattr(mcmlike.verify, "free_critical_polynomial", refuse)
+    monkeypatch.setattr(mcmlike.verify, "_census_ring", refuse)
 
 
 def shifted_families():
@@ -343,12 +355,77 @@ def test_census_found_at_every_sweep_factor_of_h_multipole(monkeypatch):
         assert len(census.free_criticals) == 15 and census.nu == 26
 
 
+def simple_and_sorted(certified):
+    """free_critical_points' list for the (root, radius) pairs of a certificate."""
+    return sorted(((z, 1) for z, _ in certified), key=lambda zm: (zm[0].real, zm[0].imag))
+
+
 def test_census_falls_back_to_expanded_roots():
     # f = z^3 + lam/(z - 1) - lam/(z + 1): at the double critical point 0 of
-    # z^3 the two pole terms of f' cancel, so both predictions for it sit
-    # on 0 and the census takes the expanded numerator instead.
+    # z^3 the two pole terms of f' cancel, so both seeds for it sit on 0 and
+    # the seeds cannot be certified; the ring start certifies six simple
+    # roots, which agree with the expanded numerator's roots.
     lam = 1e-4
     f = simple_poles_map(ComplexPoly([0, 0, 0, 1]), [(1, 1, lam), (-1, 1, -lam)])
+    assert _certified_roots(f, _census_seeds(f), 6) is None
+    ring = _certified_roots(f, _census_ring(f, 6), 6)
     points = free_critical_points(f)
-    assert points == find_roots(free_critical_polynomial(f))
-    assert sum(m for _, m in points) == 2 + 2 + 2
+    assert points == simple_and_sorted(ring)
+    expanded = reference_find_roots(expanded_numerator(f))
+    assert [m for _, m in expanded] == [1] * 6
+    # The expanded roots carry their own rounding error, about 3e-15 here.
+    for z, radius in ring:
+        assert min(abs(z - w) for w, _ in expanded) <= radius + 1e-14 * (1.0 + abs(z))
+
+
+def family_sweep_maps():
+    """Every fixture family at the 61 lambda factors 10**(-2 + 3j/60)."""
+    for path in sorted(FIXTURES.glob("*.json")):
+        mf = load_model(path)
+        if mf.family is not None:
+            lam = mf.build_map().terms[0][0]
+            for j in range(61):
+                yield mf.build_map(lambda_override=lam * 10.0 ** (-2.0 + 3.0 * j / 60))
+
+
+def test_ring_alone_certifies_every_family_sweep_map(monkeypatch):
+    maps = list(family_sweep_maps())
+    sizes = [f.base.degree - 1 + sum(d + 1 for _, d in pole_orders(f)) for f in maps]
+    seeded = [_certified_roots(f, _census_seeds(f), n) for f, n in zip(maps, sizes)]
+    monkeypatch.setattr(mcmlike.verify, "_census_seeds", lambda fmap: None)
+    for f, n, want in zip(maps, sizes, seeded):
+        ring = _certified_roots(f, _census_ring(f, n), n)
+        assert free_critical_points(f) == simple_and_sorted(ring)
+        # Each disc holds one root, so each ring disc meets the seeded disc
+        # of the same root.
+        for z, radius in ring:
+            assert min(abs(z - w) - r for w, r in want) <= radius
+    assert len(maps) == 6 * 61
+
+
+def test_multiple_free_critical_point_is_unavailable():
+    # f = 0.5 + 3 lam z - lam z^2 + lam / z: the numerator is
+    # -lam (z - 1)^2 (2z + 1), and the certificate proves simple roots only.
+    lam = 0.25
+    f = simple_poles_map(ComplexPoly([0.5, 3 * lam, -lam]), [(0j, 1, lam)])
+    assert [m for _, m in reference_find_roots(expanded_numerator(f))] == [1, 2]
+    with pytest.raises(NonConvergence, match="not certified"):
+        free_critical_points(f)
+    with pytest.raises(NonConvergence, match="not certified"):
+        critical_census(f)
+
+
+def test_verify_prints_an_unavailable_census(tmp_path, capsys):
+    # q's P = 2z^3 - 3z^2 + 1 with lam / (z - 9/4), lam = 81/32: the
+    # numerator P' (z - 9/4)^2 - lam has the double root 3/2 in exact
+    # binary arithmetic, so neither start certifies it.
+    family = json.loads((FIXTURES / "q_family.json").read_text())
+    family["family"]["poles"] = [{"lambda": [81 / 32, 0], "location": [2.25, 0], "order": 1}]
+    path = tmp_path / "double_critical.json"
+    path.write_text(json.dumps(family))
+    assert main(["verify", str(path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    reason = "NonConvergence: free critical points not certified from the seeds nor from a ring"
+    assert "census: FAIL (unavailable)" in out and "orbits: FAIL (unavailable)" in out
+    assert f"detail: census: {reason}" in out and f"detail: orbits: {reason}" in out
+    assert out[-1] == "verdict: FAIL"
