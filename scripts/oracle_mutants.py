@@ -3,9 +3,10 @@
 
 Copies src/, tests/ and fixtures/ into a temporary directory, checks that
 the unchanged copy passes tests/test_dynamics.py, tests/test_render.py,
-tests/test_model.py, tests/test_skew.py, tests/test_verify.py and
-tests/test_record.py, then applies each of the nine mutants in turn to the
-copy and runs those six files again.  A mutant is caught when the tests fail.
+tests/test_model.py, tests/test_skew.py, tests/test_verify.py,
+tests/test_record.py and tests/test_surgery.py, then applies each of the
+eleven mutants in turn to the copy and runs those seven files again.  A
+mutant is caught when the tests fail.
 
 Exit status 0 when every mutant is caught; 1 when one survives, its anchor
 text is not found exactly once, or the unchanged copy does not pass.
@@ -23,7 +24,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TESTS = [
     "tests/test_dynamics.py", "tests/test_render.py", "tests/test_model.py", "tests/test_skew.py",
-    "tests/test_verify.py", "tests/test_record.py",
+    "tests/test_verify.py", "tests/test_record.py", "tests/test_surgery.py",
 ]
 
 # (name, file, anchor, replacement)
@@ -81,6 +82,18 @@ MUTANTS = [
         "src/mcmlike/record.py",
         "if other.__class__ is self.__class__ else NotImplemented",
         "if isinstance(other, Record) else NotImplemented",
+    ),
+    (
+        "slack decided from the float gaps, not the exact cycle product",
+        "src/mcmlike/surgery.py",
+        "    if not sc.product < 1:\n",
+        "    if not all(sc.gap(j) > 0.0 for j in sc.phases):\n",
+    ),
+    (
+        "the rounding guard keyed on float M, not the exact cycle product",
+        "src/mcmlike/surgery.py",
+        "    if product < 1:\n",
+        "    if M > 1.0:\n",
     ),
 ]
 

@@ -36,7 +36,9 @@ plan of z^3 - 3z + 3 with a pole of order 3 on its fixed point, and verify
 of a family on it (the escaping critical point makes each of them exit 2);
 last, verify of a copy of q_family whose params add "cycleTol": 1e-9 and
 render at 16x16 of one that adds "captureTol": 1e-6 (params accepts
-maxIter and poleBall only, so both exit 2 and write nothing).
+maxIter and poleBall only, so both exit 2 and write nothing); last, check
+and plan of a period-6 abstract model whose cycle product is 1 - 1/1296**8
+(the condition holds, exit 0, but plan's M rounds to 1.0, exit 2).
 ``--only <subcommand>`` keeps that subcommand's rows alone.  Runs
 happen in process, in a scratch directory holding a copy of the fixtures,
 so paths in the output do not depend on the checkout.  Standard library
@@ -65,6 +67,11 @@ ESCAPING_FAMILY = dict(
     family={"kind": "simple_poles", "poles": [{"location": [1, 0], "order": 3, "lambda": [1e-6, 0]}]},
     params={"maxIter": 2000},
 )
+# Degrees 2,1,1,1,1,1 with a pole on every phase: the cycle product is
+# 1 - 1/1296**8, so M rounds to 1.0.
+NEAR_ONE = {"abstract": {"degree": 2, "cycles": [{"period": 6, "degrees": [2, 1, 1, 1, 1, 1]}]},
+            "pole_data": [{"cycle": 1, "phase": j, "d": d}
+                          for j, d in enumerate((3, 6, 36, 1296, 1296**2, 1296**4))]}
 # Copies of q_family with one more params key each: (file, key, value).
 PARAM_COPIES = (("q_cycle_tol.json", "cycleTol", 1e-9), ("q_capture_tol.json", "captureTol", 1e-6))
 
@@ -145,6 +152,8 @@ def rows(fixtures):
     yield ["verify", "escaping_family.json"]
     yield ["verify", PARAM_COPIES[0][0]]
     yield ["render", PARAM_COPIES[1][0], "--out", OUTPUTS[0], "--width", "16", "--height", "16"]
+    for cmd in ("check", "plan"):
+        yield [cmd, "near_one.json"]
 
 
 def sha(data):
@@ -182,7 +191,8 @@ def main(argv=None):
 
     with tempfile.TemporaryDirectory() as work:
         shutil.copytree(os.path.join(root, "fixtures"), os.path.join(work, "fixtures"))
-        for name, data in (("escaping.json", ESCAPING), ("escaping_family.json", ESCAPING_FAMILY)):
+        for name, data in (("escaping.json", ESCAPING), ("escaping_family.json", ESCAPING_FAMILY),
+                           ("near_one.json", NEAR_ONE)):
             with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
                 json.dump(data, fh)
         for name, key, value in PARAM_COPIES:

@@ -180,7 +180,6 @@ def cmd_plan(args) -> int:
         ClosureError,
         ConditionFails,
         EmptyPoleSet,
-        NoSlack,
         compute_alpha_beta,
         plan_levels,
         r_threshold,
@@ -195,11 +194,7 @@ def cmd_plan(args) -> int:
         return 1
     except (EmptyPoleSet, ClosureError) as exc:  # not verdicts: exit 2
         raise CliError(str(exc)) from exc
-    try:
-        rstar = r_threshold(sc, args.groetzsch_c)
-    except NoSlack as exc:
-        print(f"no slack: {exc}")
-        return 1
+    rstar = r_threshold(sc, args.groetzsch_c)  # the condition holds, so slack does
     r = args.r if args.r is not None else rstar / 2
     if args.r is None and r == 0:
         raise CliError(f"default r = r*/2 underflows to 0 (r* = {rstar:.15g})")

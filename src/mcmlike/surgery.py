@@ -12,6 +12,7 @@ is level arithmetic on exponents; no planar sets are constructed.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Dict, Tuple
 
 from .arith import PoleData, check_cycle_index, transition_matrix
@@ -27,7 +28,7 @@ class ConditionFails(Exception):
 
 
 class ClosureError(Exception):
-    """The alpha recursion failed to close around the cycle."""
+    """The floats cannot represent the constants: overflow, or slack lost to rounding."""
 
 
 class LevelOrderViolation(Exception):
@@ -39,27 +40,29 @@ class ThresholdViolation(Exception):
 
 
 class NoSlack(Exception):
-    """A chain-inequality gap is not strictly positive; no threshold exists."""
-
-
-CLOSURE_RTOL = 1e-12
+    """The cycle product is not < 1: no chain inequality is strict, no threshold exists."""
 
 
 class SurgeryConstants(Record):
     """Constants of one cycle's annulus construction.
 
     phases lists J_i in increasing order; t_gaps[j] is the first-return step
-    to the next phase of J_i; degrees holds n_{i,j} for the whole cycle and
+    to the next phase of J_i; product is the exact cycle product, which
+    decides slack; degrees holds n_{i,j} for the whole cycle and
     pole_orders holds d_{i,j} for j in J_i.
     """
 
-    __slots__ = ("cycle", "phases", "t_gaps", "M", "alpha", "beta", "degrees", "pole_orders")
+    __slots__ = ("cycle", "phases", "t_gaps", "product", "alpha", "beta", "degrees", "pole_orders")
 
-    def __init__(self, cycle: int, phases: Tuple[int, ...], t_gaps: Dict[int, int], M: float,
+    def __init__(self, cycle: int, phases: Tuple[int, ...], t_gaps: Dict[int, int], product: Fraction,
                  alpha: Dict[int, float], beta: Dict[int, float], degrees: Tuple[int, ...],
                  pole_orders: Dict[int, int]):
-        self.cycle, self.phases, self.t_gaps, self.M = cycle, phases, t_gaps, M
+        self.cycle, self.phases, self.t_gaps, self.product = cycle, phases, t_gaps, product
         self.alpha, self.beta, self.degrees, self.pole_orders = alpha, beta, degrees, pole_orders
+
+    @property
+    def M(self) -> float:
+        return _m_from_product(self.product, len(self.phases))
 
     @property
     def period(self) -> int:
@@ -137,12 +140,14 @@ def compute_alpha_beta(
     """Propagate alpha around J_i by the first-return recursion; derive beta.
 
     seed is alpha at the first (lowest) phase of J_i.  The recursion closes
-    exactly because the loop product equals 1 by the definition of M; the
-    cyclic closure is still checked to CLOSURE_RTOL.  An alpha, beta or
-    chain-inequality side that overflows raises ClosureError naming its
-    phase.  With
-    require_condition=False, constants are produced even when the condition
-    fails (M <= 1); such constants carry no slack and admit no plan.
+    exactly, since M**(2|J_i|) times the cycle product is 1, so its return
+    to the seed is not computed.  Slack is decided on the exact product: a
+    product < 1 makes every chain inequality strict.  ClosureError names the
+    phase where the floats cannot carry the constants: an alpha, beta or
+    chain-inequality side that overflows or, for a product < 1, an M that
+    rounds to 1 or a gap that rounds to <= 0.  With require_condition=False,
+    constants are produced even when the condition fails (product >= 1);
+    such constants carry no slack and admit no plan.
     """
     check_cycle_index(model, cycle)
     if not 0 < seed < math.inf:
@@ -163,38 +168,21 @@ def compute_alpha_beta(
             k += 1
         t_gaps[j] = k
 
-    j0 = phases[0]
-    alpha = {j0: float(seed)}
-    cur = j0
-    for _ in range(len(phases)):
+    cur = phases[0]
+    alpha = {cur: float(seed)}
+    for _ in range(len(phases) - 1):
         t = t_gaps[cur]
         nxt = (cur + t) % p
         bracket = 1.0 / n[nxt] + 1.0 / orders[nxt]
         for k in range(1, t):
             bracket *= 1.0 / n[(cur + k) % p]
-        a_next = (n[cur] / n[nxt]) * alpha[cur] / (M * M * bracket)
-        if nxt == j0:
-            if abs(a_next - seed) > CLOSURE_RTOL * abs(seed):
-                raise ClosureError(
-                    f"alpha recursion around cycle {cycle} returned {a_next!r} from seed {seed!r}"
-                )
-        else:
-            alpha[nxt] = a_next
+        alpha[nxt] = (n[cur] / n[nxt]) * alpha[cur] / (M * M * bracket)
         cur = nxt
 
     beta = {
         j: M * alpha[j] + (M - 1.0) * (n[j] / orders[j]) * alpha[j] for j in phases
     }
-    sc = SurgeryConstants(
-        cycle=cycle,
-        phases=phases,
-        t_gaps=t_gaps,
-        M=M,
-        alpha=alpha,
-        beta=beta,
-        degrees=tuple(n),
-        pole_orders=orders,
-    )
+    sc = SurgeryConstants(cycle, phases, t_gaps, product, alpha, beta, tuple(n), orders)
     for j in phases:
         lhs, rhs = sc.chain_lhs(j), sc.chain_rhs(j)
         if not all(math.isfinite(x) for x in (alpha[j], beta[j], lhs, rhs)):
@@ -202,11 +190,12 @@ def compute_alpha_beta(
                 f"chain inequality overflows at phase {j}: {lhs!r} < {rhs!r} "
                 f"(alpha {alpha[j]!r}, beta {beta[j]!r})"
             )
-    if M > 1.0:
+    if product < 1:
         for j in phases:
-            if not sc.gap(j) > 0.0:
+            if not (M > 1.0 and sc.gap(j) > 0.0):
                 raise ClosureError(
-                    f"chain inequality not strict at phase {j} despite M > 1"
+                    f"chain slack at phase {j} is lost to rounding: product {product} < 1, "
+                    f"but M = {M!r} and gap {sc.gap(j)!r}"
                 )
     return sc
 
@@ -220,16 +209,15 @@ def r_threshold(sc: SurgeryConstants, groetzsch_c: float = 1.0) -> float:
     """Largest r* below which every non-recurrence level inequality holds.
 
     r* = exp(-max_j 2*pi*C / (d_{next(j)} * gap_j)).  C = 0 gives r* = 1.
+    NoSlack exactly when the cycle product is not < 1.
     """
     _check_groetzsch_c(groetzsch_c)
-    gaps = {j: sc.gap(j) for j in sc.phases}
-    bad = [j for j, g in gaps.items() if g <= 0.0]
-    if bad:
-        raise NoSlack(f"no chain slack at phases {bad} (M = {sc.M})")
+    if not sc.product < 1:
+        raise NoSlack(f"cycle {sc.cycle} product {sc.product} is not < 1 (M = {sc.M})")
     if groetzsch_c == 0.0:
         return 1.0
     worst = max(
-        2.0 * math.pi * groetzsch_c / (sc.pole_orders[sc.next_phase(j)] * gaps[j])
+        2.0 * math.pi * groetzsch_c / (sc.pole_orders[sc.next_phase(j)] * sc.gap(j))
         for j in sc.phases
     )
     return math.exp(-worst)

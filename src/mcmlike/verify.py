@@ -27,7 +27,6 @@ from .dynamics import (
     RationalMapExpr,
     Undecided,
     checked_escape_radius,
-    find_roots,
     iterate_orbit,
     newton_cycle,
     pole_orders,
@@ -119,15 +118,21 @@ class UntouchedCycleCheck(Record):
 
 
 class VerificationVerdict(Record):
-    __slots__ = ("degree_ok", "condition_holds", "condition_report", "census", "orbit_report", "untouched",
-                 "details", "note")
+    __slots__ = ("degree_ok", "condition_report", "census", "orbit_report", "untouched", "details")
 
-    def __init__(self, degree_ok: bool, condition_holds: bool, condition_report: ConditionReport,
-                 census: Optional[CriticalCensus], orbit_report: Optional[CriticalOrbitReport],
-                 untouched: List[UntouchedCycleCheck], details: List[str], note: str = ""):
-        self.degree_ok, self.condition_holds, self.condition_report = degree_ok, condition_holds, condition_report
-        self.census, self.orbit_report, self.untouched = census, orbit_report, untouched
-        self.details, self.note = details, note
+    def __init__(self, degree_ok: bool, condition_report: ConditionReport, census: Optional[CriticalCensus],
+                 orbit_report: Optional[CriticalOrbitReport], untouched: List[UntouchedCycleCheck],
+                 details: List[str]):
+        self.degree_ok, self.condition_report, self.census = degree_ok, condition_report, census
+        self.orbit_report, self.untouched, self.details = orbit_report, untouched, details
+
+    @property
+    def condition_holds(self) -> bool:
+        return self.condition_report.overall
+
+    @property
+    def note(self) -> str:
+        return "" if self.condition_holds else "NotExpectedToPass"
 
     @property
     def census_ok(self) -> bool:
@@ -182,22 +187,22 @@ def _taylor_coefficient(p: ComplexPoly, z: complex, j: int) -> complex:
     return p.eval(z) / math.factorial(j)
 
 
-def _census_seeds(f: RationalMapExpr) -> Optional[List[complex]]:
+def _census_seeds(f: RationalMapExpr, critical_points: List[Tuple[complex, int]]) -> Optional[List[complex]]:
     """Predicted free critical points from the local structure of f.
 
     Near a pole a of order d where P' vanishes to order m - 1, f' = 0 reads
     C (z - a)^(m-1) = d mu(a) / (z - a)^(d+1): m + d points on a circle
     around a.  A critical point b of P of multiplicity mu that is not a
-    pole moves to C (z - b)^mu = -(pole part of f')(b).  The critical
-    points of P come from find_roots(P'); one within ROOT_CLUSTER_TOL of a
-    pole counts towards that pole's m.  None when a local coefficient
-    vanishes.
+    pole moves to C (z - b)^mu = -(pole part of f')(b).  critical_points
+    are the roots of P' with multiplicities, as find_roots(P') gives them;
+    one within ROOT_CLUSTER_TOL of a pole counts towards that pole's m.
+    None when a local coefficient vanishes.
     """
     dp = f.base.derivative()
     poles = pole_orders(f)
     m = [1] * len(poles)
     seeds = []
-    for b, mu in find_roots(dp):
+    for b, mu in critical_points:
         near = [k for k, (a, _) in enumerate(poles) if abs(b - a) <= ROOT_CLUSTER_TOL * (1.0 + abs(a))]
         if near:
             m[near[0]] += mu
@@ -347,28 +352,32 @@ def _certified_roots(
     return list(zip(roots, radii))
 
 
-def free_critical_points(f: MapLike) -> List[Tuple[complex, int]]:
+def free_critical_points(f: MapLike, critical_points: List[Tuple[complex, int]]) -> List[Tuple[complex, int]]:
     """The free critical points with multiplicities, sorted by (re, im).
 
-    Without pole terms, find_roots(P').  With them, the roots of the
-    unexpanded numerator of f', certified simple by ``_certified_roots``
-    from the seeds and, only when that fails, from ``_census_ring``.  When
-    both fail (a multiple free critical point always does) NonConvergence.
+    critical_points are those of the base polynomial P, as find_roots(P')
+    gives them.  Without pole terms they are the answer.  With them, the
+    roots of the unexpanded numerator of f', certified simple by
+    ``_certified_roots`` from the seeds and, only when that fails, from
+    ``_census_ring``.  When both fail (a multiple free critical point
+    always does) NonConvergence.
     """
     if not f.terms:
-        return find_roots(f.base.derivative())
+        return list(critical_points)
     n = f.base.degree - 1 + sum(d + 1 for _, d in pole_orders(f))
-    roots = _certified_roots(f, _census_seeds(f), n) or _certified_roots(f, _census_ring(f, n), n)
+    roots = (_certified_roots(f, _census_seeds(f, critical_points), n)
+             or _certified_roots(f, _census_ring(f, n), n))
     if roots is None:
         raise NonConvergence("free critical points not certified from the seeds nor from a ring")
     return sorted(((z, 1) for z, _ in roots), key=lambda zm: (zm[0].real, zm[0].imag))
 
 
-def critical_census(f: MapLike) -> CriticalCensus:
-    """Count all critical points; enforce nu = 2*deg - 2 exactly."""
+def critical_census(f: MapLike, critical_points: List[Tuple[complex, int]]) -> CriticalCensus:
+    """Count all critical points, from those of the base polynomial as
+    find_roots(P') gives them; enforce nu = 2*deg - 2 exactly."""
     deg = map_degree(f)
     n = f.base.degree
-    free = free_critical_points(f)
+    free = free_critical_points(f, critical_points)
     pole_side = [(a, d - 1) for a, d in pole_orders(f)]
     census = CriticalCensus(
         free_criticals=free,
@@ -505,7 +514,8 @@ def verify_family(
     expected_pole_data: PoleData,
     params: Optional[VerifyParams] = None,
 ) -> VerificationVerdict:
-    """Run all necessary-condition checks for (f, model, pole data)."""
+    """Run all necessary-condition checks for (f, model, pole data).  The
+    critical points of expected_model, f's classified base, seed the census."""
     params = params or VerifyParams()
     if any(not cyc.points for cyc in expected_model.cycles):
         raise ValueError(
@@ -515,7 +525,6 @@ def verify_family(
     details: List[str] = []
 
     condition_report = check_condition(expected_model, expected_pole_data)
-    condition_holds = condition_report.overall
 
     n = expected_model.degree
     d_total = expected_pole_data.total_order()
@@ -526,7 +535,7 @@ def verify_family(
 
     census = orbit_report = None
     try:
-        census = critical_census(f)
+        census = critical_census(f, [(a.point, a.multiplicity) for a in expected_model.criticals])
     except (CensusMismatch, NonConvergence) as exc:
         reason = f"{type(exc).__name__}: {exc}"
         details.append(f"census: {exc}" if isinstance(exc, CensusMismatch) else f"census: {reason}")
@@ -545,7 +554,4 @@ def verify_family(
         if not c.persisted
     )
 
-    note = "" if condition_holds else "NotExpectedToPass"
-    return VerificationVerdict(
-        degree_ok, condition_holds, condition_report, census, orbit_report, untouched_checks, details, note
-    )
+    return VerificationVerdict(degree_ok, condition_report, census, orbit_report, untouched_checks, details)

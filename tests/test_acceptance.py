@@ -23,7 +23,7 @@ from mcmlike.arith import (
     power_iteration_eigenvalue,
     transition_matrix,
 )
-from mcmlike.dynamics import ComplexPoly
+from mcmlike.dynamics import ComplexPoly, find_roots
 from mcmlike.model import classify_polynomial, from_abstract, normalize_type, riemann_hurwitz_check, types_equal
 from mcmlike.model_io import load_model
 from mcmlike.render import (
@@ -129,7 +129,7 @@ def test_criterion_3_hpcfp_classification():
 def test_criterion_4_critical_census():
     lam = 1e-5
     q = load_model(FIXTURES / "q_family.json").build_map()
-    census = critical_census(q)
+    census = critical_census(q, find_roots(q.base.derivative()))
     assert len(census.free_criticals) == 4
     assert census.infinity_multiplicity == 2
     assert census.nu == 6 and census.map_degree == 4
@@ -141,7 +141,7 @@ def test_criterion_4_critical_census():
     assert min(abs(c - (1.0 + lam / 6.0)) for c in crits) < 1e-3
 
     f = load_model(FIXTURES / "f_cubic.json").build_map()
-    fc = critical_census(f)
+    fc = critical_census(f, find_roots(f.base.derivative()))
     assert len(fc.free_criticals) == 6
     radius = 0.01 ** (1.0 / 6.0)
     rot = np.exp(1j * math.pi / 3.0)

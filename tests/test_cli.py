@@ -216,6 +216,30 @@ def test_plan_condition_fails(run):
     assert out.startswith("condition fails:")
 
 
+def test_plan_slack_below_float_resolution_is_an_operational_error(run, tmp_path):
+    # Period 6, degrees 2,1,1,1,1,1, pole orders 3, 6, 36, 1296, 1296**2,
+    # 1296**4: the product 1 - 1/1296**8 is < 1, so the condition holds, but
+    # M rounds to 1.0 and plan's float constants cannot carry the slack.
+    orders = (3, 6, 36, 1296, 1296**2, 1296**4)
+    p = tmp_path / "near_one.json"
+    p.write_text(json.dumps({
+        "abstract": {"degree": 2, "cycles": [{"period": 6, "degrees": [2, 1, 1, 1, 1, 1]}]},
+        "pole_data": [{"cycle": 1, "phase": j, "d": d} for j, d in enumerate(orders)],
+    }))
+    code, out, _ = run("check", str(p))
+    assert code == 0
+    assert out == (
+        "cycle 1: 7958661109946400884391935/7958661109946400884391936 < 1 OK\n"
+        "condition: holds\n"
+    )
+    code, out, err = run("plan", str(p))
+    assert code == 2 and out == ""
+    assert err == (
+        "error: chain slack at phase 0 is lost to rounding: product "
+        "7958661109946400884391935/7958661109946400884391936 < 1, but M = 1.0 and gap 0.0\n"
+    )
+
+
 def test_plan_pole_free_cycle_is_operational_error(run):
     code, _, err = run("plan", fx("r_abstract"), "--cycle", "2")
     assert code == 2 and err.startswith("error:")

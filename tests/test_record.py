@@ -62,7 +62,7 @@ SAMPLES = [
     RenderSpec(SQUARE, 4, 4),
     ClassGrid((0,), (0,), (-1,), (-1,)),
     RadialProfile((0.5,), (0,), (0,), 0),
-    SurgeryConstants(1, (0,), (), 1.0, (), (), (2,), ()),
+    SurgeryConstants(1, (0,), (), Fraction(3, 4), (), (), (2,), ()),
     LevelPlan((), (), 0.5, True, True, True),
     CodeWord((1, 0)),
     SkewState(CodeWord((1,)), 0.25),
@@ -77,7 +77,7 @@ SAMPLES = [
     CriticalOrbitEntry(0j, 1, None, None, True, None),
     CriticalOrbitReport((), ()),
     UntouchedCycleCheck(1, 1, None, None, False),
-    VerificationVerdict(True, True, None, None, None, (), (), ""),
+    VerificationVerdict(True, ConditionReport((), True), None, None, (), ()),
 ]
 IDS = [type(r).__name__ for r in SAMPLES]
 

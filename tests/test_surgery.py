@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,6 +14,7 @@ from mcmlike.surgery import (
     EmptyPoleSet,
     LevelOrderViolation,
     NoSlack,
+    SurgeryConstants,
     ThresholdViolation,
     compute_M,
     compute_alpha_beta,
@@ -111,6 +113,67 @@ def test_no_slack_when_condition_fails():
     assert sc2.M < 1.0 and sc2.gap(0) < 0.0
     with pytest.raises(NoSlack):
         r_threshold(sc2)
+
+
+def test_no_slack_exactly_when_the_product_is_not_below_one():
+    # Over random cycles, with the condition not required, NoSlack is raised
+    # exactly when the cycle product that check prints is >= 1.  At product
+    # exactly 1, M is 1.0 and the float gaps are rounding noise, some of it
+    # positive.
+    rng = random.Random(7)
+    seen = {-1: 0, 0: 0, 1: 0}
+    positive_noise = 0
+    while min(seen.values()) < 20 or not positive_noise:
+        model, pd = random_pole_model(rng)
+        report = check_condition(model, pd)
+        for idx in range(1, len(model.cycles) + 1):
+            if not pd.picked_phases(idx):
+                continue
+            sc = compute_alpha_beta(model, pd, idx, require_condition=False)
+            assert sc.product == report.per_cycle[idx - 1].product
+            sign = (sc.product > 1) - (sc.product < 1)
+            seen[sign] += 1
+            if sign < 0:
+                assert sc.M > 1.0 and 0.0 <= r_threshold(sc) < 1.0
+                continue
+            with pytest.raises(NoSlack, match=f"^cycle {idx} product {sc.product} is not < 1 "):
+                r_threshold(sc)
+            positive_noise += sign == 0 and any(sc.gap(j) > 0.0 for j in sc.phases)
+
+
+def test_slack_is_read_from_the_product_not_the_float_gaps():
+    # The same float constants, gaps positive, carry no slack once the
+    # record's product is 1.
+    sc = q_constants()
+    at_one = SurgeryConstants(
+        sc.cycle, sc.phases, sc.t_gaps, Fraction(1), sc.alpha, sc.beta, sc.degrees, sc.pole_orders
+    )
+    assert at_one.gap(0) == sc.gap(0) > 0.0
+    with pytest.raises(NoSlack, match=r"^cycle 1 product 1 is not < 1 \(M = 1.0\)$"):
+        r_threshold(at_one)
+
+
+def near_one_model():
+    """Period 6, degrees 2,1,1,1,1,1, a pole on every phase: the cycle
+    product is 1 - 1/1296**8."""
+    model = from_abstract(2, [(6, (2, 1, 1, 1, 1, 1))])
+    orders = (3, 6, 36, 1296, 1296**2, 1296**4)
+    return model, PoleData.from_dict({(1, j): d for j, d in enumerate(orders)})
+
+
+def test_slack_below_float_resolution_is_a_closure_error():
+    # The condition holds exactly, but M rounds to 1.0 and every chain gap
+    # to rounding noise: the floats cannot represent the constants.
+    model, pd = near_one_model()
+    report = check_condition(model, pd)
+    assert report.overall and report.per_cycle[0].product == 1 - Fraction(1, 1296**8)
+    assert compute_M(model, pd, 1) == 1.0
+    with pytest.raises(
+        ClosureError,
+        match=r"^chain slack at phase 0 is lost to rounding: product 7958661109946400884391935/"
+        r"7958661109946400884391936 < 1, but M = 1.0 and gap 0.0$",
+    ):
+        compute_alpha_beta(model, pd, 1)
 
 
 def test_random_models_close_and_have_slack():

@@ -3,11 +3,13 @@
 import json
 import math
 import random
+import sys
 
 from fractions import Fraction
 
 import pytest
 
+import mcmlike.dynamics
 import mcmlike.verify
 from mcmlike.arith import PoleData
 from mcmlike.cli import main
@@ -15,6 +17,7 @@ from mcmlike.dynamics import (
     ComplexPoly,
     NonConvergence,
     eval_map_derivative,
+    find_roots,
     pole_orders,
     product_pole_map,
     simple_poles_map,
@@ -38,6 +41,11 @@ from mcmlike.verify import (
 
 from conftest import FIXTURES
 from oracles import expanded_numerator, interpretive_poly_eval, reference_find_roots
+
+
+def crits(f):
+    """The critical points of f's base polynomial, which seed its census."""
+    return find_roots(f.base.derivative())
 
 
 def load_family(name):
@@ -197,7 +205,7 @@ def test_verify_degree_mismatch_detected():
 def test_map_degree_and_census():
     f, _, _, _ = load_family("q_family")
     assert map_degree(f) == 4
-    census = critical_census(f)
+    census = critical_census(f, crits(f))
     assert census.nu == 2 * census.map_degree - 2
     assert sum(m for _, m in census.pole_criticals) == 0  # simple pole: d - 1 = 0
     poly = ComplexPoly([1, 0, -3, 2])
@@ -244,6 +252,24 @@ def test_verify_computes_the_census_once(monkeypatch):
     verdict = verify_family(f, model, pd, params)
     assert verdict.passed
     assert calls == [15]
+
+
+def test_verify_roots_p_prime_once(monkeypatch, capsys):
+    # classify_polynomial roots P'; the census takes the critical points it
+    # found from the model instead of rooting P' again.
+    calls = []
+    real = mcmlike.dynamics.find_roots
+
+    def counting(p, *args, **kwargs):
+        calls.append(p)
+        return real(p, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("mcmlike") and getattr(module, "find_roots", None) is real:
+            monkeypatch.setattr(module, "find_roots", counting)
+    assert main(["verify", str(FIXTURES / "h_multipole.json")]) == 0
+    assert "census: OK (free 15" in capsys.readouterr().out
+    assert calls == [load_model(FIXTURES / "h_multipole.json").polynomial.derivative()]
 
 
 def test_unavailable_census_fails_both_checks(monkeypatch):
@@ -306,7 +332,7 @@ def test_census_certifies_shifted_pole_families(monkeypatch):
     count = 0
     for f in shifted_families():
         n = f.base.degree - 1 + sum(d + 1 for _, d in pole_orders(f))
-        points = free_critical_points(f)
+        points = free_critical_points(f, crits(f))
         assert [m for _, m in points] == [1] * n
         assert len({z for z, _ in points}) == n
         assert points == sorted(points, key=lambda zm: (zm[0].real, zm[0].imag))
@@ -327,7 +353,7 @@ def test_census_matches_local_newton_near_the_pole(monkeypatch):
     no_fallback(monkeypatch)
     f, _, _, _ = load_family("h_multipole")
     ((lam, _),) = f.terms
-    points = [z for z, _ in free_critical_points(f) if abs(z + 1) < 0.01]
+    points = [z for z, _ in free_critical_points(f, crits(f)) if abs(z + 1) < 0.01]
     assert len(points) == 6
 
     def local_newton(w):
@@ -351,7 +377,7 @@ def test_census_found_at_every_sweep_factor_of_h_multipole(monkeypatch):
     mf = load_model(FIXTURES / "h_multipole.json")
     for j in range(61):
         f = mf.build_map(lambda_override=1e-22 * 10.0 ** (-2.0 + 3.0 * j / 60))
-        census = critical_census(f)
+        census = critical_census(f, crits(f))
         assert len(census.free_criticals) == 15 and census.nu == 26
 
 
@@ -367,9 +393,9 @@ def test_census_falls_back_to_expanded_roots():
     # roots, which agree with the expanded numerator's roots.
     lam = 1e-4
     f = simple_poles_map(ComplexPoly([0, 0, 0, 1]), [(1, 1, lam), (-1, 1, -lam)])
-    assert _certified_roots(f, _census_seeds(f), 6) is None
+    assert _certified_roots(f, _census_seeds(f, crits(f)), 6) is None
     ring = _certified_roots(f, _census_ring(f, 6), 6)
-    points = free_critical_points(f)
+    points = free_critical_points(f, crits(f))
     assert points == simple_and_sorted(ring)
     expanded = reference_find_roots(expanded_numerator(f))
     assert [m for _, m in expanded] == [1] * 6
@@ -391,11 +417,11 @@ def family_sweep_maps():
 def test_ring_alone_certifies_every_family_sweep_map(monkeypatch):
     maps = list(family_sweep_maps())
     sizes = [f.base.degree - 1 + sum(d + 1 for _, d in pole_orders(f)) for f in maps]
-    seeded = [_certified_roots(f, _census_seeds(f), n) for f, n in zip(maps, sizes)]
-    monkeypatch.setattr(mcmlike.verify, "_census_seeds", lambda fmap: None)
+    seeded = [_certified_roots(f, _census_seeds(f, crits(f)), n) for f, n in zip(maps, sizes)]
+    monkeypatch.setattr(mcmlike.verify, "_census_seeds", lambda fmap, points: None)
     for f, n, want in zip(maps, sizes, seeded):
         ring = _certified_roots(f, _census_ring(f, n), n)
-        assert free_critical_points(f) == simple_and_sorted(ring)
+        assert free_critical_points(f, crits(f)) == simple_and_sorted(ring)
         # Each disc holds one root, so each ring disc meets the seeded disc
         # of the same root.
         for z, radius in ring:
@@ -410,9 +436,9 @@ def test_multiple_free_critical_point_is_unavailable():
     f = simple_poles_map(ComplexPoly([0.5, 3 * lam, -lam]), [(0j, 1, lam)])
     assert [m for _, m in reference_find_roots(expanded_numerator(f))] == [1, 2]
     with pytest.raises(NonConvergence, match="not certified"):
-        free_critical_points(f)
+        free_critical_points(f, crits(f))
     with pytest.raises(NonConvergence, match="not certified"):
-        critical_census(f)
+        critical_census(f, crits(f))
 
 
 def test_verify_prints_an_unavailable_census(tmp_path, capsys):
