@@ -5,7 +5,7 @@ Copies src/, tests/ and fixtures/ into a temporary directory, checks that
 the unchanged copy passes tests/test_dynamics.py, tests/test_render.py,
 tests/test_model.py, tests/test_skew.py, tests/test_verify.py,
 tests/test_record.py and tests/test_surgery.py, then applies each of the
-eleven mutants in turn to the copy and runs those seven files again.  A
+thirteen mutants in turn to the copy and runs those seven files again.  A
 mutant is caught when the tests fail.
 
 Exit status 0 when every mutant is caught; 1 when one survives, its anchor
@@ -46,6 +46,18 @@ MUTANTS = [
         "src/mcmlike/dynamics.py",
         "if d <= bars[j]:",
         "if d < bars[j]:",
+    ),
+    (
+        "passage ties kept by the earlier iterate",
+        "src/mcmlike/dynamics.py",
+        "pd <= passage_dist",
+        "pd < passage_dist",
+    ),
+    (
+        "capture only strictly within CAPTURE_TOL",
+        "src/mcmlike/render.py",
+        "<= CAPTURE_TOL",
+        "< CAPTURE_TOL",
     ),
     (
         "round escape labels without the step within the round",

@@ -64,21 +64,27 @@ class PoleData(FrozenRecord):
 
 
 class CycleCondition(FrozenRecord):
-    __slots__ = ("cycle", "product", "holds", "picked_phases")
+    __slots__ = ("cycle", "product", "picked_phases")
 
-    def __init__(self, cycle: int, product: Fraction, holds: bool, picked_phases: Tuple[int, ...]):
+    def __init__(self, cycle: int, product: Fraction, picked_phases: Tuple[int, ...]):
         object.__setattr__(self, "cycle", cycle)
         object.__setattr__(self, "product", product)
-        object.__setattr__(self, "holds", holds)
         object.__setattr__(self, "picked_phases", picked_phases)
+
+    @property
+    def holds(self) -> bool:
+        return self.product < 1
 
 
 class ConditionReport(FrozenRecord):
-    __slots__ = ("per_cycle", "overall")
+    __slots__ = ("per_cycle",)
 
-    def __init__(self, per_cycle: Tuple[CycleCondition, ...], overall: bool):
+    def __init__(self, per_cycle: Tuple[CycleCondition, ...]):
         object.__setattr__(self, "per_cycle", per_cycle)
-        object.__setattr__(self, "overall", overall)
+
+    @property
+    def overall(self) -> bool:
+        return all(r.holds for r in self.per_cycle)
 
 
 def check_condition(model, pole_data: PoleData) -> ConditionReport:
@@ -93,8 +99,8 @@ def check_condition(model, pole_data: PoleData) -> ConditionReport:
     rows = []
     for idx in range(1, len(model.cycles) + 1):
         prod = _transition_matrix(model, pole_data, idx).cyclic_product()
-        rows.append(CycleCondition(idx, prod, prod < 1, pole_data.picked_phases(idx)))
-    return ConditionReport(tuple(rows), all(r.holds for r in rows))
+        rows.append(CycleCondition(idx, prod, pole_data.picked_phases(idx)))
+    return ConditionReport(tuple(rows))
 
 
 class TransitionMatrix(FrozenRecord):

@@ -4,8 +4,9 @@ A map is a polynomial P (ascending coefficient lists) plus pole terms,
 P(z) + sum_t c_t / prod_k (z - a_k)^{d_k}, each term a coefficient c_t over
 its own pole factors; a polynomial is a map whose term list is empty.
 Everything downstream (classification, verification, rendering) is built
-on the primitives in this module: ``find_roots``, ``eval_map``
-(``eval_unchecked`` on arrays), ``newton_cycle`` and ``iterate_orbit``.
+on the primitives in this module: ``find_roots``, the evaluator ``f.eval``
+(scalars and arrays, without a pole check), ``eval_map_derivative``,
+``cycle_derivative``, ``newton_cycle`` and ``iterate_orbit``.
 """
 
 from __future__ import annotations
@@ -64,6 +65,30 @@ class _Map(FrozenRecord):
 
     __slots__ = ("__dict__",)
 
+    def eval(self, z):
+        """f(z) for a Python complex or a complex ndarray, without a pole check.
+
+        Horner runs from the leading coefficient and every term's denominator
+        is built one factor (z - a) at a time, so the scalar and the array
+        results differ only in how Python and numpy round complex products and
+        quotients.
+
+        Horner skips 1 * z and + 0, a pole at a = 0 uses z itself, not z - 0,
+        and a denominator starts from its first factor, not from 1 * (z - a).
+        For finite operands these identities hold up to the sign of a zero, so
+        finite results have the values of the full scheme and non-finite ones
+        stay non-finite.  Arrays this call made are updated in place (``*=``,
+        ``+=``: the same ufunc, the same bits); on a Python complex that is a
+        rebinding.  z itself is never written to nor returned.
+
+        The scheme runs as straight-line code compiled once per map shape (see
+        ``_source``) and bound to the map's constants on its first evaluation,
+        so it performs the same operations in the same order on the same
+        operands as the scheme written with loops and branches, and gives the
+        same bits.
+        """
+        return _evaluator(self)(z)
+
 
 class ComplexPoly(_Map):
     """Polynomial with ascending complex coefficients: coeffs[k] * z**k.
@@ -91,20 +116,6 @@ class ComplexPoly(_Map):
         for r in roots:
             p = p * cls((-complex(r), 1.0))
         return p
-
-    def eval(self, z):
-        """Horner from the leading coefficient; z may be a complex ndarray.
-
-        Runs the map's compiled evaluator (``eval_unchecked``'s scheme, which
-        for a polynomial is this Horner).  Exact identity operations are
-        skipped: a leading coefficient 1 starts from z instead of 1 * z, and a
-        zero coefficient adds nothing.  For finite operands x * 1 = x and
-        x + 0 = x up to the sign of a zero, so every remaining product and
-        sum rounds as in the full scheme.  Arrays this call made are updated
-        in place (the same ufunc, the same bits); z itself is never written
-        to nor returned.
-        """
-        return _evaluator(self)(z)
 
     def derivative(self) -> "ComplexPoly":
         """The derivative.  It is kept on self, so repeated calls
@@ -220,31 +231,6 @@ def _check_poles(f: MapLike, z: complex) -> None:
             raise PoleHit(k, a, z)
 
 
-def eval_unchecked(f: MapLike, z):
-    """f(z) for a Python complex or a complex ndarray, without a pole check.
-
-    Horner runs from the leading coefficient and every term's denominator
-    is built one factor (z - a) at a time, so the scalar and the array
-    results differ only in how Python and numpy round complex products and
-    quotients.
-
-    Horner skips 1 * z and + 0, a pole at a = 0 uses z itself, not z - 0,
-    and a denominator starts from its first factor, not from 1 * (z - a).
-    For finite operands these identities hold up to the sign of a zero, so
-    finite results have the values of the full scheme and non-finite ones
-    stay non-finite.  Arrays this call made are updated in place (``*=``,
-    ``+=``: the same ufunc, the same bits); on a Python complex that is a
-    rebinding.  z itself is never written to nor returned.
-
-    The scheme runs as straight-line code compiled once per map shape (see
-    ``_source``) and bound to f's constants on f's first evaluation, so it
-    performs the same operations in the same order on the same operands as
-    the scheme written with loops and branches, and gives the same bits.
-    ``ComplexPoly.eval`` is this evaluator on a map without pole terms.
-    """
-    return _evaluator(f)(z)
-
-
 # Compiled evaluators.  The operations of the scheme depend only on the
 # map's shape: whether the leading coefficient is 1, which lower
 # coefficients are nonzero and, term by term, which poles are off 0 and
@@ -339,14 +325,8 @@ def orbit_points(f: MapLike, z: complex, period: int) -> List[complex]:
     """[z, f(z), ..., f^(period-1)(z)], evaluated without a pole check."""
     pts = [z]
     for _ in range(period - 1):
-        pts.append(eval_unchecked(f, pts[-1]))
+        pts.append(f.eval(pts[-1]))
     return pts
-
-
-def eval_map(f: MapLike, z: complex) -> complex:
-    """Evaluate a map at a point; raises PoleHit on pole collision."""
-    _check_poles(f, z)
-    return eval_unchecked(f, z)
 
 
 def eval_map_derivative(f: MapLike, z: complex) -> complex:
@@ -382,7 +362,7 @@ def cycle_derivative(f: MapLike, z: complex, period: int) -> Tuple[complex, comp
     w, deriv = z, 1 + 0j
     for _ in range(period):
         deriv *= eval_map_derivative(f, w)  # checks the poles at w
-        w = eval_unchecked(f, w)
+        w = f.eval(w)
     return w, deriv
 
 
@@ -621,21 +601,18 @@ def _cluster_roots(roots, p: ComplexPoly):
 
 
 class Escaped(Record):
-    """Orbit left the escape radius.
+    """Orbit left the escape radius at ``escape_index``.
 
-    ``last_bounded`` is the final iterate inside the radius; the
-    ``passage_point`` is the pre-escape iterate closest to any pole (the
-    operational trap-door passage; later iterates win ties), with
-    ``nearest_pole_index``/``pole_distance`` describing that approach.
-    Maps without poles report the last bounded iterate and infinite
+    ``nearest_pole_index`` and ``pole_distance`` describe the pre-escape
+    iterate closest to any pole (the operational trap-door passage; later
+    iterates win ties).  Maps without poles report None and infinite
     distance.
     """
 
-    __slots__ = ("escape_index", "last_bounded", "passage_point", "nearest_pole_index", "pole_distance")
+    __slots__ = ("escape_index", "nearest_pole_index", "pole_distance")
 
-    def __init__(self, escape_index: int, last_bounded: complex, passage_point: complex,
-                 nearest_pole_index: Optional[int], pole_distance: float):
-        self.escape_index, self.last_bounded, self.passage_point = escape_index, last_bounded, passage_point
+    def __init__(self, escape_index: int, nearest_pole_index: Optional[int], pole_distance: float):
+        self.escape_index = escape_index
         self.nearest_pole_index, self.pole_distance = nearest_pole_index, pole_distance
 
 
@@ -662,60 +639,54 @@ class OrbitRecord(Record):
 
 # Cycle revisitation is only checked after this many iterates.
 CYCLE_TRANSIENT = 20
-# An iterate this close to an earlier one revisits it (iterate_orbit's default).
+# An iterate this close to an earlier one revisits it.
 CYCLE_TOL = 1e-9
 # Largest revisitation period looked for.
 PERIOD_WINDOW = 256
 
 
-def iterate_orbit(
-    f: MapLike,
-    z0: complex,
-    max_iter: int = 512,
-    escape_radius: Optional[float] = None,
-    cycle_tol: float = CYCLE_TOL,
-) -> OrbitRecord:
+def iterate_orbit(f: MapLike, z0: complex, max_iter: int = 512) -> OrbitRecord:
     """Iterate a map and classify the orbit.
 
-    Outcomes: Escaped (first index beyond the escape radius, trap-door
-    passage data), ConvergedToCycle (revisitation within cycle_tol after a
-    short transient; smallest period wins), or Undecided at max_iter.
+    Outcomes: Escaped (first index beyond the escape radius R =
+    auto_radius(f), trap-door passage data), ConvergedToCycle (revisitation
+    within CYCLE_TOL after a short transient; smallest period wins), or
+    Undecided at max_iter.  A map whose auto radius is not finite raises
+    ValueError.
 
     Each iterate's pole distances are measured in one pass, which gives its
     approach (the nearest pole, the first on ties).  Before it is evaluated
     comes its collision: the first pole within POLE_COLLISION_RTOL *
-    (1 + |a|), as ``eval_map`` checks.  A collision counts as an escape
-    whose passage point is the colliding iterate.  The poles are scanned
+    (1 + |a|), as ``eval_map_derivative`` checks.  A collision counts as an
+    escape whose passage is the colliding iterate.  The poles are scanned
     for it, measured once more, only when the nearest distance is at most
     the largest of those bars (or is nan), which every collision needs.
 
     Revisitation: iterate k revisits the latest j in
     [max(CYCLE_TRANSIENT, k - PERIOD_WINDOW), k - 1] with
-    |z_k - z_j| < cycle_tol.  Iterates are filed in square cells of side
-    s = max(8 * cycle_tol, R * 2**-48), R the escape radius, by the indices
-    floor(x / s) of their real and imaginary parts.  Each computed quotient
-    x / s is within 2**-52 * R / s of the exact one (|x| <= R), so two parts
-    closer than cycle_tol have quotients closer than cycle_tol / s +
-    2**-51 * R / s.  Hence z_j can lie only in z_k's own cell or in the
-    neighbour across an edge that z_k's quotient is within the margin
-    m = cycle_tol / s + (1 + R / s) * 2**-50 of (the extra 2**-50 covers
+    |z_k - z_j| < CYCLE_TOL.  Iterates are filed in square cells of side
+    s = max(8 * CYCLE_TOL, R * 2**-48) by the indices floor(x / s) of their
+    real and imaginary parts.  Each computed quotient x / s is within
+    2**-52 * R / s of the exact one (|x| <= R), so two parts closer than
+    CYCLE_TOL have quotients closer than CYCLE_TOL / s + 2**-51 * R / s.
+    Hence z_j can lie only in z_k's own cell or in the neighbour across an
+    edge that z_k's quotient is within the margin
+    m = CYCLE_TOL / s + (1 + R / s) * 2**-50 of (the extra 2**-50 covers
     the rounding of the fractional part), on each axis, and in the corner
     cell between two such neighbours.  m < 1/2, so at most one neighbour per
     axis qualifies, and only those cells are searched; most iterates search
     one.  The latest qualifying j is found in whichever cell holds it, so
     the result does not depend on the cells.
     """
-    escape_radius = checked_escape_radius(f, escape_radius)
+    radius = checked_escape_radius(f, None)
     evaluate = _evaluator(f)
     poles = [a for a, _ in pole_orders(f)]
     bars = [POLE_COLLISION_RTOL * (1.0 + abs(a)) for a in poles]
     inf = math.inf
     bar = max(bars, default=-inf)
     samples = [z0]
-    # Without a positive tolerance nothing can revisit and no cells are kept.
-    side = max(8.0 * cycle_tol, escape_radius * 2.0**-48) if cycle_tol > 0 else 0.0
-    if side:
-        margin = cycle_tol / side + (1.0 + escape_radius / side) * 2.0**-50
+    side = max(8.0 * CYCLE_TOL, radius * 2.0**-48)
+    margin = CYCLE_TOL / side + (1.0 + radius / side) * 2.0**-50
     cells = {}
 
     z = z0
@@ -729,10 +700,10 @@ def iterate_orbit(
             if not j or d < pd:
                 pd, pk = d, j
         if not k or pd <= passage_dist:
-            passage, passage_pole, passage_dist = z, pk, pd
-        if not k and abs(z) > escape_radius:
-            return OrbitRecord(samples, Escaped(0, z, z, passage_pole, pd))
-        if k >= CYCLE_TRANSIENT and side:
+            passage_pole, passage_dist = pk, pd
+        if not k and abs(z) > radius:
+            return OrbitRecord(samples, Escaped(0, pk, pd))
+        if k >= CYCLE_TRANSIENT:
             lo = k - PERIOD_WINDOW  # the cells hold no j < CYCLE_TRANSIENT
             u, v = z.real / side, z.imag / side
             cx, cy = math.floor(u), math.floor(v)
@@ -752,7 +723,7 @@ def iterate_orbit(
                 for j in reversed(cells.get(cell, ())):
                     if j <= best or j < lo:
                         break
-                    if abs(z - samples[j]) < cycle_tol:
+                    if abs(z - samples[j]) < CYCLE_TOL:
                         best = j
                         break
             if best >= 0:
@@ -764,13 +735,13 @@ def iterate_orbit(
             for j, a in enumerate(poles):
                 d = abs(z - a)
                 if d <= bars[j]:
-                    return OrbitRecord(samples, Escaped(k + 1, z, z, j, d))
+                    return OrbitRecord(samples, Escaped(k + 1, j, d))
         z_new = evaluate(z)
-        if not abs(z_new) <= escape_radius:
+        if not abs(z_new) <= radius:
             # A finite escaping iterate is kept; a non-finite one is not.
             if math.isfinite(z_new.real) and math.isfinite(z_new.imag):
                 samples.append(z_new)
-            return OrbitRecord(samples, Escaped(k + 1, z, passage, passage_pole, passage_dist))
+            return OrbitRecord(samples, Escaped(k + 1, passage_pole, passage_dist))
         samples.append(z_new)
         z = z_new
     return OrbitRecord(samples, Undecided())

@@ -4,7 +4,7 @@ Pixels are classified by vectorized iteration with the same escape and
 collision semantics as ``dynamics.iterate_orbit``: Escaped(k) at the first
 iterate beyond the escape radius (index 0 for seeds already outside, with
 pole collisions surfacing as non-finite iterates), Basin(id, phase) on
-capture within capture_tol of a supplied attractor point, Undecided at
+capture within CAPTURE_TOL of a supplied attractor point, Undecided at
 max_iter.  Only the seeds still open are iterated, and one comparison
 |z| <= radius per iterate tells escapes from the rest.
 
@@ -36,18 +36,15 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence, Tuple
 
-from .dynamics import (
-    MapLike,
-    checked_escape_radius,
-    eval_unchecked,
-    fixed_by_reflection,
-    reflections,
-)
+from .dynamics import MapLike, checked_escape_radius, fixed_by_reflection, reflections
 from .record import Record
 
 KIND_UNDECIDED = 0
 KIND_ESCAPED = 1
 KIND_BASIN = 2
+
+# An iterate within this distance of an attractor point is captured.
+CAPTURE_TOL = 1e-6
 
 # classify_points' tiles, chosen by timing 256x256 windows of the fixtures
 # (blocks of 4096, 8192 and 16384; FEW 64 and 128; ROUND 8, 16 and 32).  A
@@ -74,16 +71,14 @@ PALETTE8 = (
 
 
 class RenderSpec(Record):
-    __slots__ = ("map", "width", "height", "center", "half_width", "max_iter", "escape_radius", "attractors",
-                 "capture_tol")
+    __slots__ = ("map", "width", "height", "center", "half_width", "max_iter", "escape_radius", "attractors")
 
     def __init__(self, map: MapLike, width: int, height: int, center: complex = 0j, half_width: float = 1.5,
                  max_iter: int = 512, escape_radius: Optional[float] = None,
-                 attractors: Optional[Sequence[Tuple[Sequence[complex], int]]] = None,
-                 capture_tol: float = 1e-6):
+                 attractors: Optional[Sequence[Tuple[Sequence[complex], int]]] = None):
         self.map, self.width, self.height, self.center = map, width, height, center
         self.half_width, self.max_iter, self.escape_radius = half_width, max_iter, escape_radius
-        self.attractors, self.capture_tol = attractors, capture_tol
+        self.attractors = attractors
         if self.width < 1 or self.height < 1:
             raise ValueError("width and height must be >= 1")
         if not 0 < self.half_width < math.inf:
@@ -141,10 +136,10 @@ def _orbit(f: MapLike, z: np.ndarray, steps: int) -> np.ndarray:
     import numpy as np
 
     if steps == 1:
-        return eval_unchecked(f, z)[None]
+        return f.eval(z)[None]
     path = np.empty((steps, z.size), dtype=np.complex128)
     for s in range(steps):
-        z = path[s] = eval_unchecked(f, z)
+        z = path[s] = f.eval(z)
     return path
 
 
@@ -154,7 +149,6 @@ def classify_points(
     max_iter: int,
     escape_radius: Optional[float] = None,
     attractors=None,
-    capture_tol: float = 1e-6,
 ):
     """Classify a flat complex array of seeds; the common vector core.
 
@@ -162,7 +156,7 @@ def classify_points(
     seeds themselves.  A seed stops at its first step with |z| > radius
     (Escaped at that step; a non-finite iterate, a pole collision, fails
     |z| <= radius, though a nan seed is not beyond it at step 0) or within
-    capture_tol of an attractor point (Basin of the first point listed).  A
+    CAPTURE_TOL of an attractor point (Basin of the first point listed).  A
     non-finite radius, like one below auto_radius(f), raises ValueError.
 
     Tile rule: a round advances the open seeds in blocks of at most BLOCK,
@@ -198,7 +192,7 @@ def classify_points(
                 path = _orbit(f, zb, steps) if k else zb[None]
                 a = np.abs(path)
                 live = a <= radius if k else ~(a > radius)
-                near = [np.abs(path - p) <= capture_tol for _aid, _ph, p in apts]
+                near = [np.abs(path - p) <= CAPTURE_TOL for _aid, _ph, p in apts]
                 stop = ~live
                 for c in near:
                     stop |= c
@@ -247,9 +241,7 @@ def _seeds(spec: RenderSpec, rows: Optional[int] = None, cols: Optional[int] = N
 
 def _classify(spec: RenderSpec, seeds: np.ndarray):
     """classify_points over the flattened seeds with the spec's settings."""
-    return classify_points(
-        spec.map, seeds, spec.max_iter, spec.escape_radius, spec.attractors, spec.capture_tol
-    )
+    return classify_points(spec.map, seeds, spec.max_iter, spec.escape_radius, spec.attractors)
 
 
 def _mirrored_axes(spec: RenderSpec) -> Tuple[bool, bool]:
@@ -344,12 +336,11 @@ def rotational_symmetry_score(grid: ClassGrid, m: int) -> float:
 
     Each pixel's seed z is rotated exactly about 0 to exp(2*pi*i/m) * z and
     the rotated seeds are classified once more with the grid's own map,
-    max_iter, escape radius, attractors and capture_tol.  A match is
-    Escaped on both sides with escape indices within 1, or non-escaped on
-    both sides.  Every pixel counts, and the window need not be centered
-    at 0, but the window is classified a second time.  The grid must come
-    from ``classify_grid`` (it carries the spec); a grid without a spec
-    raises ValueError.
+    max_iter, escape radius and attractors.  A match is Escaped on both
+    sides with escape indices within 1, or non-escaped on both sides.  Every
+    pixel counts, and the window need not be centered at 0, but the window
+    is classified a second time.  The grid must come from ``classify_grid``
+    (it carries the spec); a grid without a spec raises ValueError.
     """
     import numpy as np
 

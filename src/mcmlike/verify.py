@@ -88,12 +88,16 @@ class CriticalOrbitEntry(Record):
     """One free critical orbit and its verdict; ``note`` says why an
     inconsistent orbit is inconsistent and is None for a consistent one."""
 
-    __slots__ = ("point", "multiplicity", "record", "classification", "consistent", "note")
+    __slots__ = ("point", "multiplicity", "record", "classification", "note")
 
     def __init__(self, point: complex, multiplicity: int, record: OrbitRecord, classification: object,
-                 consistent: bool, note: Optional[str]):
+                 note: Optional[str]):
         self.point, self.multiplicity, self.record = point, multiplicity, record
-        self.classification, self.consistent, self.note = classification, consistent, note
+        self.classification, self.note = classification, note
+
+    @property
+    def consistent(self) -> bool:
+        return self.note is None
 
 
 class CriticalOrbitReport(Record):
@@ -427,19 +431,19 @@ def _match_poles_to_domains(f: MapLike, model: HpcfpModel) -> Tuple[Optional[Tup
 
 def _orbit_verdict(
     c: complex, out, model: HpcfpModel, doors: Set[int], touched: Set[int], params: VerifyParams
-) -> Tuple[object, bool, Optional[str]]:
-    """(classification, consistent, note) of the orbit outcome ``out`` of
-    free critical point c; the note is None for a consistent orbit.  doors
-    holds the indices of the poles in pole-data domains, touched the indices
-    of the cycles that carry pole data.
+) -> Tuple[object, Optional[str]]:
+    """(classification, note) of the orbit outcome ``out`` of free critical
+    point c; the note is None for a consistent orbit.  doors holds the
+    indices of the poles in pole-data domains, touched the indices of the
+    cycles that carry pole data.
     """
     if isinstance(out, Undecided):
-        return out, False, f"critical {c}: undecided after {params.max_iter} iterations"
+        return out, f"critical {c}: undecided after {params.max_iter} iterations"
     if isinstance(out, Escaped):
         pk = out.nearest_pole_index
         if pk in doors and out.pole_distance <= params.pole_ball:
-            return EscapesViaTrapDoor(pk, out.pole_distance), True, None
-        return InBasinOfInfinityDirectly(), False, (
+            return EscapesViaTrapDoor(pk, out.pole_distance), None
+        return InBasinOfInfinityDirectly(), (
             f"critical {c}: escaped without trap-door passage "
             f"(nearest pole {pk}, distance {out.pole_distance:.3g})"
         )
@@ -449,9 +453,9 @@ def _orbit_verdict(
     if best is not None and best[0] <= CYCLE_MATCH_TOL * (1.0 + abs(rep)):
         cid = best[1]
         if cid in touched:
-            return ConvergesToBoundedCycle(cid), False, f"critical {c}: converged to touched cycle {cid}"
-        return ConvergesToBoundedCycle(cid), True, None
-    return ConvergesToBoundedCycle(-1), False, f"critical {c}: converged away from every model cycle"
+            return ConvergesToBoundedCycle(cid), f"critical {c}: converged to touched cycle {cid}"
+        return ConvergesToBoundedCycle(cid), None
+    return ConvergesToBoundedCycle(-1), f"critical {c}: converged away from every model cycle"
 
 
 def classify_critical_orbits(

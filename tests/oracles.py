@@ -2,7 +2,7 @@
 decides, and the exact comparisons used against them.
 
 - Evaluation: ``interpretive_eval`` (with ``interpretive_poly_eval``), the
-  scheme ``eval_unchecked`` compiles, written with loops and branches.
+  scheme ``f.eval`` compiles, written with loops and branches.
 - Orbit: ``reference_iterate_orbit``, which finds revisits by scanning back
   over the window and steps with the evaluation oracle.
 - Render: ``masked_classify_points`` and ``masked_rgb``, one whole-array
@@ -128,26 +128,24 @@ def reference_iterate_orbit(f, z0, max_iter=512, escape_radius=None, cycle_tol=1
         return min(((k, abs(z - a)) for k, a in enumerate(poles)), key=lambda kd: kd[1])
 
     pk, pd = approach(z0)
-    passage, passage_pole, passage_dist = z0, pk, pd
+    passage_pole, passage_dist = pk, pd
     z = z0
     if abs(z) > escape_radius:
-        return OrbitRecord(samples, Escaped(0, z0, z0, pk, pd))
+        return OrbitRecord(samples, Escaped(0, pk, pd))
     for k in range(1, max_iter + 1):
         for j, a in enumerate(poles):
             d = abs(z - a)
             if d <= POLE_COLLISION_RTOL * (1.0 + abs(a)):
-                return OrbitRecord(samples, Escaped(k, z, z, j, d))
+                return OrbitRecord(samples, Escaped(k, j, d))
         z_new = interpretive_eval(f, z)
         if not (math.isfinite(z_new.real) and math.isfinite(z_new.imag)):
-            return OrbitRecord(samples, Escaped(k, z, passage, passage_pole, passage_dist))
+            return OrbitRecord(samples, Escaped(k, passage_pole, passage_dist))
         samples.append(z_new)
         if abs(z_new) > escape_radius:
-            if poles:
-                return OrbitRecord(samples, Escaped(k, z, passage, passage_pole, passage_dist))
-            return OrbitRecord(samples, Escaped(k, z, z, None, float("inf")))
+            return OrbitRecord(samples, Escaped(k, passage_pole, passage_dist))
         pk, pd = approach(z_new)
         if poles and pd <= passage_dist:
-            passage, passage_pole, passage_dist = z_new, pk, pd
+            passage_pole, passage_dist = pk, pd
         z = z_new
         if k >= CYCLE_TRANSIENT:
             lo = max(CYCLE_TRANSIENT, k - PERIOD_WINDOW)

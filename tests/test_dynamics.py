@@ -25,9 +25,7 @@ from mcmlike.dynamics import (
     Undecided,
     auto_radius,
     checked_escape_radius,
-    eval_map,
     eval_map_derivative,
-    eval_unchecked,
     find_roots,
     iterate_orbit,
     newton_cycle,
@@ -150,10 +148,10 @@ def test_simple_poles_eval_and_pole_hit():
     f = simple_poles_map(ComplexPoly([0, 0, 1]), [(1 + 0j, 2, 0.5 + 0j)])
     z = 3 + 1j
     want = z * z + 0.5 / (z - 1) ** 2
-    assert abs(eval_map(f, z) - want) < 1e-12
+    assert abs(f.eval(z) - want) < 1e-12
     assert pole_orders(f) == [(1 + 0j, 2)]
     with pytest.raises(PoleHit):
-        eval_map(f, 1 + 0j)
+        eval_map_derivative(f, 1 + 0j)
     assert_array_matches_scalar(f, np.array([z, 0.5 - 2j, -1.5 + 0.25j, 1 + 1e-3j]))
 
 
@@ -161,7 +159,7 @@ def test_product_pole_eval():
     f = product_pole_map(ComplexPoly([-1, 0, 1]), 1e-3, [(0j, 2), (-1 + 0j, 1)])
     z = 0.5 + 0.25j
     want = z * z - 1 + 1e-3 / (z**2 * (z + 1))
-    assert abs(eval_map(f, z) - want) < 1e-12
+    assert abs(f.eval(z) - want) < 1e-12
     assert pole_orders(f) == [(0j, 2), (-1 + 0j, 1)]
     assert_array_matches_scalar(f, np.array([z, 0.5 - 2j, -1.5 + 0.25j, -1 + 1e-3j]))
 
@@ -179,9 +177,9 @@ def test_single_factor_product_pole_is_a_simple_pole():
                 g = simple_poles_map(base, [(a, d, lam)])
                 assert f == g
                 arr = np.array(zs)
-                assert eval_unchecked(f, arr).tobytes() == eval_unchecked(g, arr).tobytes()
+                assert f.eval(arr).tobytes() == g.eval(arr).tobytes()
                 for z in zs:
-                    assert bits(eval_unchecked(f, z)) == bits(eval_unchecked(g, z))
+                    assert bits(f.eval(z)) == bits(g.eval(z))
                     if bits(eval_map_derivative(f, z)) != bits(eval_map_derivative(g, z)):
                         differ.append((base, a, d, lam, z))
                 assert [(bits(z), m) for z, m in free_critical_points(f, find_roots(base.derivative()))] == [
@@ -192,21 +190,20 @@ def test_single_factor_product_pole_is_a_simple_pole():
 
 def assert_array_matches_scalar(f, zs):
     # numpy and CPython round complex * and / differently: equal to rounding.
-    got = eval_unchecked(f, zs)
+    got = f.eval(zs)
     assert got.shape == zs.shape
     for zk, gk in zip(zs, got):
-        want = eval_map(f, complex(zk))
+        want = f.eval(complex(zk))
         assert abs(gk - want) <= 1e-12 * abs(want)
 
 
 # ---------------------------------------------------------------------------
-# eval_unchecked against the dense evaluator, which runs every identity
+# f.eval against the dense evaluator, which runs every identity
 # operation (1 * z, + 0, z - 0, den = 1 * w) into a fresh value.
 
 
 def _dense_reference(f, z):
-    """eval_unchecked and ComplexPoly.eval as they were before identity
-    operations were skipped."""
+    """f.eval as it was before identity operations were skipped."""
     if isinstance(f, ComplexPoly):
         acc = f.coeffs[-1]
         for c in reversed(f.coeffs[:-1]):
@@ -253,7 +250,7 @@ def _reference_seeds(f):
     return seeds + [complex("nan"), complex("inf"), complex(0, float("-inf"))]
 
 
-def test_eval_unchecked_matches_dense_reference():
+def test_eval_matches_dense_reference():
     # Skipped identities change at most the sign of a zero: finite results
     # compare equal and the same entries are non-finite.
     for f in _reference_maps():
@@ -261,7 +258,7 @@ def test_eval_unchecked_matches_dense_reference():
         arr = np.array(seeds)
         before = arr.copy()
         with np.errstate(all="ignore"):
-            got, want = eval_unchecked(f, arr), _dense_reference(f, arr)
+            got, want = f.eval(arr), _dense_reference(f, arr)
         assert got is not arr and not np.shares_memory(got, arr)
         assert arr.tobytes() == before.tobytes()
         finite = np.isfinite(got)
@@ -272,9 +269,9 @@ def test_eval_unchecked_matches_dense_reference():
                 want = _dense_reference(f, z)
             except ZeroDivisionError:
                 with pytest.raises(ZeroDivisionError):
-                    eval_unchecked(f, z)
+                    f.eval(z)
                 continue
-            got = eval_unchecked(f, z)
+            got = f.eval(z)
             assert got is not z
             if cmath.isfinite(want):
                 assert got == want
@@ -293,7 +290,7 @@ def test_eval_map_derivative_matches_finite_difference():
         for _ in range(10):
             z = complex(rng.uniform(0.3, 1.5), rng.uniform(0.3, 1.5))
             h = 1e-6
-            fd = (eval_map(f, z + h) - eval_map(f, z - h)) / (2 * h)
+            fd = (f.eval(z + h) - f.eval(z - h)) / (2 * h)
             assert abs(eval_map_derivative(f, z) - fd) <= 1e-5 * (1 + abs(fd))
 
 
@@ -311,7 +308,7 @@ def test_auto_radius_is_an_escape_radius():
             z = radius * 1.000001 * complex(
                 math.cos(2 * math.pi * k / 64), math.sin(2 * math.pi * k / 64)
             )
-            assert abs(eval_map(f, z)) > abs(z)
+            assert abs(f.eval(z)) > abs(z)
 
 
 def test_checked_escape_radius_rejects_a_map_with_a_non_finite_coefficient():
@@ -343,8 +340,8 @@ def assert_commutes(f, sign):
     rng = np.random.default_rng(7)
     z = rng.uniform(-2, 2, 400) + 1j * rng.uniform(-2, 2, 400)
     with np.errstate(all="ignore"):
-        mirrored = eval_unchecked(f, sign * np.conj(z))
-        assert np.array_equal(mirrored, sign * np.conj(eval_unchecked(f, z)))
+        mirrored = f.eval(sign * np.conj(z))
+        assert np.array_equal(mirrored, sign * np.conj(f.eval(z)))
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_REFLECTIONS))
@@ -432,19 +429,24 @@ def test_iterate_orbit_passage_tracks_closest_pole_approach():
     rec = iterate_orbit(f, c)
     out = rec.outcome
     assert isinstance(out, Escaped)
-    want = min(abs(z) for z in rec.samples[: out.escape_index + 1])
-    assert abs(out.pole_distance - want) < 1e-15
-    assert abs(abs(out.passage_point) - want) < 1e-15
+    # The pole sits at 0, so |z - 0| is |z| exactly.
+    assert out.nearest_pole_index == 0
+    assert out.pole_distance == min(abs(z) for z in rec.samples[: out.escape_index])
+
+
+def test_iterate_orbit_passage_ties_go_to_the_later_iterate():
+    # 2z plus two pole terms with coefficient 0: the orbit of 0.25 is 0.25,
+    # 0.5, 1, 2 and escapes at 4.  Iterate 1 lies 0.25 from pole 0 and
+    # iterate 2 lies 0.25 from pole 1; every other approach is farther.
+    f = simple_poles_map(ComplexPoly([0, 2]), [(0.5 + 0.25j, 1, 0j), (1 - 0.25j, 1, 0j)])
+    rec = assert_same_orbit(f, 0.25 + 0j)
+    assert rec.samples == [0.25, 0.5, 1, 2, 4]
+    assert rec.outcome == Escaped(4, 1, 0.25)
 
 
 def test_iterate_orbit_undecided_on_parabolic():
     rec = iterate_orbit(ComplexPoly([0.25, 0, 1]), 0j, max_iter=50)
     assert isinstance(rec.outcome, Undecided)
-
-
-def test_iterate_orbit_rejects_small_escape_radius():
-    with pytest.raises(ValueError):
-        iterate_orbit(ComplexPoly([0, 0, 1]), 0.5 + 0j, escape_radius=1.0)
 
 
 def test_newton_cycle_basilica_two_cycle():
@@ -467,7 +469,7 @@ def test_newton_cycle_untouched_cycle_persists():
 def test_newton_cycle_orbit_hitting_a_pole_does_not_converge():
     # f(z) = z^2 - 1/(z - 1) sends 0 exactly onto its pole at 1.
     f = simple_poles_map(ComplexPoly([0, 0, 1]), [(1 + 0j, 1, -1 + 0j)])
-    assert eval_map(f, 0j) == 1
+    assert f.eval(0j) == 1
     assert newton_cycle(f, 0j, 2, 1e-10) == (None, False, None)
 
 
@@ -486,7 +488,7 @@ CONCRETE = sorted(p.stem for p in FIXTURES.glob("*.json") if load_model(p).polyn
 
 def assert_same_critical_orbits(name, factors):
     mf = load_model(FIXTURES / f"{name}.json")
-    kwargs = dict(max_iter=mf.verify_params().max_iter, cycle_tol=CYCLE_TOL)
+    kwargs = dict(max_iter=mf.verify_params().max_iter)
     maps = [mf.polynomial]
     if mf.family is not None:
         lam = mf.build_map().terms[0][0]
@@ -516,8 +518,8 @@ def test_iterate_orbit_matches_reference_on_random_orbits():
     for _ in range(150):
         f = rng.choice(maps)
         z0 = complex(rng.uniform(-1.6, 1.6), rng.uniform(-1.6, 1.6))
-        tol = rng.choice([1e-9, 1e-6, 1e-3])
-        out = assert_same_orbit(f, z0, max_iter=rng.choice([30, 400, 1000]), cycle_tol=tol)
+        # No revisit can be found by max_iter CYCLE_TRANSIENT.
+        out = assert_same_orbit(f, z0, max_iter=rng.choice([CYCLE_TRANSIENT, 30, 400, 1000]))
         outcomes.add(type(out.outcome).__name__)
     assert outcomes == {"ConvergedToCycle", "Escaped", "Undecided"}
 
@@ -532,14 +534,13 @@ def _cell(z, side):
 
 
 def test_iterate_orbit_cycle_straddling_cell_boundaries():
-    # With cycle_tol 1e-9, every p is a corner of the cells of side 2e-9,
+    # With CYCLE_TOL 1e-9, every p is a corner of the cells of side 2e-9,
     # and the first two are corners of the cells of side 8e-9
     # (iterate_orbit's) too.  An attracting fixed point and an attracting
     # 2-cycle point sit on p; their multipliers are -1/2, so iterates
     # approach from alternating sides and the revisiting iterate lies in a
     # different cell from the one it revisits.
-    tol = 1e-9
-    fine, coarse = 2 * tol, 8 * tol
+    fine, coarse = 2 * CYCLE_TOL, 8 * CYCLE_TOL
     # z^2 - 9/8 has a 2-cycle {z1, z2} with multiplier -1/2.  |f'(z2)| < 1,
     # so deviations at z1 = f(z2) are the smaller ones and the revisit is
     # found there: z1 goes onto p.
@@ -554,7 +555,7 @@ def test_iterate_orbit_cycle_straddling_cell_boundaries():
         s = p - z1
         two_cycle = ComplexPoly([s * s - 1.125 + s, -2 * s, 1])  # (z - s)^2 - 9/8 + s
         for f, period, z0 in ((fixed, 1, p + 3e-3 - 5e-3j), (two_cycle, 2, p + 0.01 + 0.002j)):
-            rec = assert_same_orbit(f, z0, cycle_tol=tol)
+            rec = assert_same_orbit(f, z0)
             out = rec.outcome
             assert isinstance(out, ConvergedToCycle) and out.period == period
             assert abs(out.representative - p) < 1e-8
@@ -563,16 +564,15 @@ def test_iterate_orbit_cycle_straddling_cell_boundaries():
 
 
 def test_revisits_on_cell_edges_and_corners():
-    # Fixed points on corners and edges of the cells of side 8 * tol,
+    # Fixed points on corners and edges of the cells of side 8 * CYCLE_TOL,
     # approached from alternating sides (negative multipliers), so revisits
     # cross cell edges.
-    tol = 1e-9
-    side = 8 * tol
+    side = 8 * CYCLE_TOL
     crossed = 0
     for p in (250 * side * (1 + 1j), 250 * side + 250.5j * side, 250.5 * side - 250j * side, 0j):
         for m in (-0.5, 0.5j, -0.9, 0.3 - 0.6j):
             for dz in (3e-3 - 5e-3j, 2e-9, -5e-9j, 3.9e-9 + 4.1e-9j):
-                rec = assert_same_orbit(_contraction(p, m), p + dz, cycle_tol=tol)
+                rec = assert_same_orbit(_contraction(p, m), p + dz)
                 out = rec.outcome
                 assert isinstance(out, ConvergedToCycle) and abs(out.representative - p) < side
                 crossed += _cell(rec.samples[-1], side) != _cell(out.representative, side)
@@ -580,19 +580,18 @@ def test_revisits_on_cell_edges_and_corners():
 
 
 def test_revisits_where_the_radius_floor_sets_the_cell_side():
-    # cycle_tol is far below R * 2**-48, so the floor sets the side and the
-    # neighbour margin is about 1/4 of a cell.  In floating point the
-    # contractions end on an exact fixed point or 2-cycle next to p.
-    radius = checked_escape_radius(_contraction(0j, -0.5), None)
-    side = radius * 2.0**-48
-    for tol in (1e-300, 1e-30, side / 16):
-        for p in (7 * side * (1 + 1j), 7.5 * side - 3j * side, 0.3 + 0.1j):
-            for m in (-0.5, 0.5, 0.25j):
-                rec = assert_same_orbit(_contraction(p, m), p + 1e-3, cycle_tol=tol, max_iter=200)
+    # Fixed points of modulus 1e7 and more give auto radii of at least 1e7,
+    # so the floor R * 2**-48 (above 3e-8) sets the cell side, not
+    # 8 * CYCLE_TOL, and the neighbour margin is about 1/4 of a cell.  In
+    # floating point the contractions end on an exact fixed point or 2-cycle
+    # next to p.
+    for p in (1e7 * (1 + 1j), 1e7 - 5e6j, 6e6 + 8e6j):
+        for m in (-0.5, 0.5, 0.25j):
+            f = _contraction(p, m)
+            assert checked_escape_radius(f, None) * 2.0**-48 > 8 * CYCLE_TOL
+            for dz in (1e-3, 3e-8 - 2e-8j):
+                rec = assert_same_orbit(f, p + dz, max_iter=200)
                 assert isinstance(rec.outcome, ConvergedToCycle) and rec.outcome.period <= 2
-    for tol in (0.0, -0.0):
-        rec = assert_same_orbit(_contraction(0.3j, -0.5), 0.1 + 0j, cycle_tol=tol, max_iter=200)
-        assert isinstance(rec.outcome, Undecided)
 
 
 @pytest.mark.parametrize("period", [1, 2, 3, PERIOD_WINDOW - 1, PERIOD_WINDOW, PERIOD_WINDOW + 1])
@@ -614,23 +613,10 @@ def test_collision_scan_at_the_bar_and_beside_a_nan_distance():
     # list makes min() nan, and the scan still finds the pole beside it.
     f = simple_poles_map(Q, [(0j, 1, 1e-3 + 0j)])
     out = assert_same_orbit(f, 1e-13 + 0j).outcome
-    assert out == Escaped(1, 1e-13 + 0j, 1e-13 + 0j, 0, 1e-13)
+    assert out == Escaped(1, 0, 1e-13)
     g = simple_poles_map(Q, [(complex("nan"), 1, 1e-3 + 0j), (0j, 1, 1e-3 + 0j)])
     out = assert_same_orbit(g, 1e-14 + 0j).outcome
     assert isinstance(out, Escaped) and out.escape_index == 1 and out.nearest_pole_index == 1
-
-
-@pytest.mark.parametrize("tol", [0.0, 1e-300, float("inf"), float("nan"), -1.0])
-def test_iterate_orbit_degenerate_cycle_tolerances(tol):
-    cube = ComplexPoly([0, 0, 0, 1])  # 0.5 underflows to exactly 0
-    assert_same_orbit(cube, 0.5 + 0j, cycle_tol=tol)
-    basilica = ComplexPoly([-1, 0, 1])
-    assert_same_orbit(basilica, 0.01 + 0j, cycle_tol=tol)
-    f = simple_poles_map(Q, [(0j, 1, 1e-5 + 0j)])
-    assert_same_orbit(f, 0.3 + 0.2j, cycle_tol=tol, max_iter=300)
-    if tol == 1e-300:
-        rec = iterate_orbit(cube, 0.5 + 0j, cycle_tol=tol)
-        assert rec.outcome == ConvergedToCycle(1, 0j, CYCLE_TRANSIENT)
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +655,7 @@ def test_compiled_evaluator_matches_the_interpretive_one():
         arr = np.array(seeds)
         before = arr.copy()
         with np.errstate(all="ignore"):
-            assert_same_array(eval_unchecked(f, arr), interpretive_eval(f, arr))
+            assert_same_array(f.eval(arr), interpretive_eval(f, arr))
             assert_same_array(f.base.eval(arr), interpretive_poly_eval(f.base.coeffs, arr))
         assert arr.tobytes() == before.tobytes()
         for z in seeds:
@@ -677,9 +663,9 @@ def test_compiled_evaluator_matches_the_interpretive_one():
                 want = interpretive_eval(f, z)
             except ZeroDivisionError:  # an exact pole hit
                 with pytest.raises(ZeroDivisionError):
-                    eval_unchecked(f, z)
+                    f.eval(z)
                 continue
-            got = eval_unchecked(f, z)
+            got = f.eval(z)
             assert got is not z
             assert_same_scalar(got, want)
             assert_same_scalar(f.base.eval(z), interpretive_poly_eval(f.base.coeffs, z))
@@ -694,9 +680,9 @@ def test_maps_of_one_shape_share_a_factory_and_keep_their_constants():
     assert ev_f is not ev_g and ev_f.__code__ is ev_g.__code__
     assert ev_f is _evaluator(f)  # bound once
     z = 0.3 + 0.4j
-    assert_same_scalar(eval_unchecked(f, z), interpretive_eval(f, z))
-    assert_same_scalar(eval_unchecked(g, z), interpretive_eval(g, z))
-    assert eval_unchecked(f, z) != eval_unchecked(g, z)
+    assert_same_scalar(f.eval(z), interpretive_eval(f, z))
+    assert_same_scalar(g.eval(z), interpretive_eval(g, z))
+    assert f.eval(z) != g.eval(z)
     # Maps are immutable, so what they derive is kept for good.
     p = ComplexPoly([1, 2, 3])
     assert p.eval(2.0) == 17 and p.derivative().eval(2.0) == 14
@@ -712,7 +698,7 @@ def test_maps_of_one_shape_share_a_factory_and_keep_their_constants():
     for m in (f, p):
         back = pickle.loads(pickle.dumps(m))
         assert back == m and "_evaluator" not in vars(back)
-        assert_same_scalar(eval_unchecked(back, z), eval_unchecked(m, z))
+        assert_same_scalar(back.eval(z), m.eval(z))
 
 
 def test_factory_cap_drops_the_oldest_shape(monkeypatch):
@@ -732,11 +718,11 @@ def test_factory_cap_drops_the_oldest_shape(monkeypatch):
     # Maps bound before the drop keep their evaluators.
     z = 0.3 + 0.4j
     for f in maps:
-        assert_same_scalar(eval_unchecked(f, z), interpretive_eval(f, z))
+        assert_same_scalar(f.eval(z), interpretive_eval(f, z))
     # A new map of the dropped shape compiles it again, dropping the next oldest.
     again = simple_poles_map(ComplexPoly([0.5, 0, 1j, 3]), [(-1 + 0j, 2, 0.25j)])
     assert _shape(again)[0] == keys[0]
-    assert_same_scalar(eval_unchecked(again, z), interpretive_eval(again, z))
+    assert_same_scalar(again.eval(z), interpretive_eval(again, z))
     assert list(dynamics._factories) == keys[2:] + keys[:1]
     assert _evaluator(again).__code__ is not first.__code__
 
@@ -774,26 +760,28 @@ def test_polynomial_and_its_termless_map_agree(name):
     seeds = _reference_seeds(p)
     arr = np.array(seeds)
     with np.errstate(all="ignore"):
-        assert eval_unchecked(p, arr).tobytes() == eval_unchecked(f, arr).tobytes()
+        assert p.eval(arr).tobytes() == f.eval(arr).tobytes()
     for z in seeds:
-        assert bits(eval_unchecked(p, z)) == bits(eval_unchecked(f, z))
+        assert bits(p.eval(z)) == bits(f.eval(z))
         assert bits(eval_map_derivative(p, z)) == bits(eval_map_derivative(f, z))
     # Finite starts only: a nan sample would compare unequal to itself.
     starts = [c for c, _ in find_roots(p.derivative())] + seeds[:-3]
     for z0 in starts:
-        for radius in (None, 1e300):
-            assert iterate_orbit(p, z0, escape_radius=radius) == iterate_orbit(
-                f, z0, escape_radius=radius
-            )
+        assert iterate_orbit(p, z0) == iterate_orbit(f, z0)
 
 
-def test_escape_to_overflow_reports_the_last_bounded_iterate():
-    # z^2 from 1e100: 1e200 stays inside 1e300 and its square overflows.
-    rec = iterate_orbit(ComplexPoly([0, 0, 1]), 1e100 + 0j, escape_radius=1e300)
-    out = rec.outcome
-    assert isinstance(out, Escaped) and out.escape_index == 2
-    assert out.passage_point == out.last_bounded == 1e200
-    assert out.nearest_pole_index is None and out.pole_distance == math.inf
+def test_a_non_finite_iterate_is_not_kept_in_samples():
+    # 1e300 z^2 has auto radius 1e300.  From 1, the iterate 1e300 stays
+    # inside it and the next one overflows: it escapes at step 2 and is not
+    # kept.  From 2, the finite 4e300 escapes at step 1 and is kept.
+    f = ComplexPoly([0, 0, 1e300])
+    assert auto_radius(f) == 1e300
+    rec = assert_same_orbit(f, 1 + 0j)
+    assert rec.samples == [1, 1e300]
+    assert rec.outcome == Escaped(2, None, math.inf)
+    rec = assert_same_orbit(f, 2 + 0j)
+    assert rec.samples == [2, 4e300]
+    assert rec.outcome == Escaped(1, None, math.inf)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from mcmlike.dynamics import ComplexPoly, RationalMapExpr, eval_map
+from mcmlike.dynamics import ComplexPoly, RationalMapExpr
 from mcmlike.model_io import (
     ModelFile,
     ParseError,
@@ -241,9 +241,9 @@ def test_build_map_variants():
     f = fam.build_map()
     assert isinstance(f, RationalMapExpr)
     # z**2 + 0.5/z at z = 2.
-    assert abs(eval_map(f, 2.0 + 0j) - (4.0 + 0.25)) <= 1e-15
+    assert abs(f.eval(2.0 + 0j) - (4.0 + 0.25)) <= 1e-15
     g = fam.build_map(lambda_override=1.0 + 0j)
-    assert abs(eval_map(g, 2.0 + 0j) - (4.0 + 0.5)) <= 1e-15
+    assert abs(g.eval(2.0 + 0j) - (4.0 + 0.5)) <= 1e-15
     abstract = loads_model(abstract_doc([{"period": 1, "degrees": [2]}]))
     with pytest.raises(SchemaError):
         abstract.build_map()

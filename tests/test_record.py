@@ -43,12 +43,12 @@ SQUARE = ComplexPoly([0, 0, 1])
 # One instance of every record class; the frozen ones hold hashable values.
 SAMPLES = [
     PoleData((((1, 0), 2),)),
-    CycleCondition(1, Fraction(3, 4), True, (0,)),
-    ConditionReport((), True),
+    CycleCondition(1, Fraction(3, 4), (0,)),
+    ConditionReport(()),
     TransitionMatrix(1, ((Fraction(1, 2),),)),
     SQUARE,
     simple_poles_map(SQUARE, [(0j, 1, 1e-3)]),
-    Escaped(3, 1 + 0j, 0.5j, 0, 0.25),
+    Escaped(3, 0, 0.25),
     ConvergedToCycle(2, 0j, 20),
     Undecided(),
     OrbitRecord((0j,), Undecided()),
@@ -74,10 +74,10 @@ SAMPLES = [
     InBasinOfInfinityDirectly(),
     EscapesViaTrapDoor(0, 0.05),
     ConvergesToBoundedCycle(3),
-    CriticalOrbitEntry(0j, 1, None, None, True, None),
+    CriticalOrbitEntry(0j, 1, None, None, None),
     CriticalOrbitReport((), ()),
     UntouchedCycleCheck(1, 1, None, None, False),
-    VerificationVerdict(True, ConditionReport((), True), None, None, (), ()),
+    VerificationVerdict(True, ConditionReport(()), None, None, (), ()),
 ]
 IDS = [type(r).__name__ for r in SAMPLES]
 

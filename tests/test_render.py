@@ -12,6 +12,7 @@ from mcmlike.dynamics import ComplexPoly, Escaped, auto_radius, reflections, sim
 from mcmlike.model_io import load_model
 from mcmlike.render import (
     BLOCK,
+    CAPTURE_TOL,
     FEW,
     KIND_BASIN,
     KIND_ESCAPED,
@@ -224,7 +225,6 @@ def test_classify_points_paths():
         max_iter=16,
         escape_radius=10.0,
         attractors=[((0.5 + 0j,), 1)],
-        capture_tol=1e-6,
     )
     assert kind[0] == KIND_ESCAPED and iters[0] == 0
     assert kind[1] == KIND_BASIN and bid[1] == 0 and bph[1] == 0
@@ -311,9 +311,7 @@ def test_classify_points_matches_reference_on_family(name, n_attractors, lambda_
     attractors, _ = _render_attractors(mf, f)
     assert len(attractors) == n_attractors
     spec = RenderSpec(map=f, width=64, height=64, attractors=attractors)
-    kind, _, _, _ = assert_matches_reference(
-        f, _seeds(spec), spec.max_iter, attractors=attractors, capture_tol=spec.capture_tol
-    )
+    kind, _, _, _ = assert_matches_reference(f, _seeds(spec), spec.max_iter, attractors=attractors)
     assert (KIND_BASIN in kind) == bool(attractors)
 
 
@@ -330,12 +328,10 @@ def test_classify_points_reference_edge_seeds():
 
 def test_classify_points_reference_captures():
     # A seed on an attractor point is a step-0 Basin; 0.5 -> 0.25 lands within
-    # capture_tol of two listed points, and the first listed wins.
+    # CAPTURE_TOL of two listed points, and the first listed wins.
     attractors = [((0.25 + 3e-7,), 1), ((0.25 - 3e-7,), 1), ((0.9 + 0j, 0.81 + 0j), 2)]
     pts = np.array([0.9 + 0j, 0.5 + 0j, 0.81 + 0j, 0.25 + 0j])
-    kind, iters, bid, bph = assert_matches_reference(
-        SQUARE, pts, 8, attractors=attractors, capture_tol=1e-6
-    )
+    kind, iters, bid, bph = assert_matches_reference(SQUARE, pts, 8, attractors=attractors)
     assert list(kind) == [KIND_BASIN] * 4
     assert list(iters) == [0] * 4
     assert list(bid) == [2, 0, 2, 0]
@@ -346,9 +342,7 @@ def test_classify_points_reference_capture_without_escapes():
     # sqrt(1.5) is captured at 1.5 on step 1, where no seed escapes; its
     # orbit would escape on step 2, so a captured seed left open reads E2.
     pts = np.array([math.sqrt(1.5) + 0j, 0.5 + 0j])
-    kind, iters, bid, _ = assert_matches_reference(
-        SQUARE, pts, 8, attractors=[((1.5 + 0j,), 1)], capture_tol=1e-6
-    )
+    kind, iters, bid, _ = assert_matches_reference(SQUARE, pts, 8, attractors=[((1.5 + 0j,), 1)])
     assert list(kind) == [KIND_BASIN, KIND_UNDECIDED]
     assert list(iters) == [0, 0] and list(bid) == [0, -1]
 
@@ -455,7 +449,7 @@ def test_tiles_bound_traced_memory():
     n = pts.size
     tracemalloc.start()
     try:
-        classify_points(f, pts, spec.max_iter, attractors=attractors, capture_tol=spec.capture_tol)
+        classify_points(f, pts, spec.max_iter, attractors=attractors)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -572,22 +566,25 @@ def test_mirror_follows_the_window_centre():
 
 
 def test_mirror_declined_for_an_attractor_one_ulp_off_the_axis(tmp_path):
-    # z^2 commutes with conj, and the window's rows at +-1 ulp mirror each
-    # other.  The attractor sits 1 ulp above the real axis with capture_tol
-    # 0: the seed on it is captured at step 0, while its mirror image (2 ulp
-    # away) squares to 0 and stays Undecided.  Copying rows would read B0.0
-    # in both.
-    ulp = 5e-324
+    # z^2 commutes with conj, and the window's rows at 0.5 +- CAPTURE_TOL i
+    # mirror each other.  The attractor sits one ulp of CAPTURE_TOL above
+    # the real axis: the seed above it is captured at step 0, while its
+    # mirror image lies one ulp beyond CAPTURE_TOL and its orbit falls
+    # towards 0, Undecided.  Copying rows would read B0.0 in both.  On the
+    # axis, both seeds lie exactly CAPTURE_TOL away and are captured.
+    above = complex(0.5, math.ulp(CAPTURE_TOL))
     spec = RenderSpec(
-        map=SQUARE, width=4, height=4, center=0j, half_width=2 * ulp, max_iter=8,
-        attractors=[((complex(0.0, ulp),), 1)], capture_tol=0.0,
+        map=SQUARE, width=4, height=4, center=0.5, half_width=2 * CAPTURE_TOL, max_iter=8,
+        attractors=[((above,), 1)],
     )
     assert reflections(SQUARE) == (1,)
     assert _mirrored_axes(spec) == (False, False)
-    on_axis = RenderSpec(
-        map=SQUARE, width=4, height=4, center=0j, half_width=2 * ulp, max_iter=8,
-        attractors=[((0j,), 1)], capture_tol=0.0,
-    )
-    assert _mirrored_axes(on_axis) == (True, False)
     grid = assert_grid_matches_every_seed(spec, tmp_path)
     assert grid.tag(2, 1) == "B0.0" and grid.tag(2, 3) == "U"
+    on_axis = RenderSpec(
+        map=SQUARE, width=4, height=4, center=0.5, half_width=2 * CAPTURE_TOL, max_iter=8,
+        attractors=[((0.5 + 0j,), 1)],
+    )
+    assert _mirrored_axes(on_axis) == (True, False)
+    grid = assert_grid_matches_every_seed(on_axis, tmp_path)
+    assert grid.tag(2, 1) == grid.tag(2, 3) == "B0.0"

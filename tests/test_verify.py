@@ -103,7 +103,6 @@ def test_orbit_entries_carry_the_notes_verify_reports(name):
     f = mf.build_map(lambda_override=f.terms[0][0] * 1.6)
     verdict = verify_family(f, classify_polynomial(mf.polynomial), mf.pole_data, mf.verify_params())
     entries = verdict.orbit_report.entries
-    assert all((e.note is None) == e.consistent for e in entries)
     notes = [d[len("orbits: "):] for d in verdict.details if d.startswith("orbits: ")]
     assert notes == [e.note for e in entries if not e.consistent]
     if name == "f_cubic":
